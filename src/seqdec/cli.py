@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from typing import Sequence
 
 from seqdec.core import (
@@ -80,6 +81,17 @@ def _read_corpus(path: str) -> list[DecodeInput]:
     return inputs
 
 
+@contextmanager
+def _open_scorer(args):
+    """The scorer named by the arguments; a remote one is closed on exit."""
+    scorer = _make_scorer(args)
+    try:
+        yield scorer
+    finally:
+        if isinstance(scorer, RemoteScorer):
+            scorer.close()
+
+
 def _make_scorer(args):
     if args.scorer == "remote":
         if not args.endpoint:
@@ -106,30 +118,30 @@ def _json_float(x: float):
 
 
 def cmd_decode(args) -> int:
-    scorer = _make_scorer(args)
-    corpus = _read_corpus(args.input)
-    config = DecodeConfig(beam_width=args.k, lookahead_depth=args.d,
-                          max_len=args.max_len, strategy=args.strategy,
-                          mode=args.mode, budget=args.budget)
-    lines = []
-    for inp in corpus:
-        result = decode(scorer, inp, config)
-        m = result.metrics
-        record = {
-            "id": inp.id,
-            "tokens": scorer.vocabulary.to_strings(result.best.tokens[1:]),
-            "score": _json_float(result.best.cum_logprob),
-            "nll": _json_float(m.nll),
-            "ppl": _json_float(m.perplexity),
-            "uid_error": _json_float(m.uid_error),
-            "length": m.length,
-            "scorer_calls": m.scorer_calls,
-            "wall_time_ms": m.wall_time_ms,
-            "strategy": args.strategy,
-            "k": args.k,
-            "d": args.d,
-        }
-        lines.append(json.dumps(record))
+    with _open_scorer(args) as scorer:
+        corpus = _read_corpus(args.input)
+        config = DecodeConfig(beam_width=args.k, lookahead_depth=args.d,
+                              max_len=args.max_len, strategy=args.strategy,
+                              mode=args.mode, budget=args.budget)
+        lines = []
+        for inp in corpus:
+            result = decode(scorer, inp, config)
+            m = result.metrics
+            record = {
+                "id": inp.id,
+                "tokens": scorer.vocabulary.to_strings(result.best.tokens[1:]),
+                "score": _json_float(result.best.cum_logprob),
+                "nll": _json_float(m.nll),
+                "ppl": _json_float(m.perplexity),
+                "uid_error": _json_float(m.uid_error),
+                "length": m.length,
+                "scorer_calls": m.scorer_calls,
+                "wall_time_ms": m.wall_time_ms,
+                "strategy": args.strategy,
+                "k": args.k,
+                "d": args.d,
+            }
+            lines.append(json.dumps(record))
     _atomic_write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -152,22 +164,22 @@ def _parse_runs(spec: str) -> list[tuple[str, int]]:
 
 
 def cmd_compare(args) -> int:
-    scorer = _make_scorer(args)
-    corpus = _read_corpus(args.input)
-    if not corpus:
-        raise UsageError("empty corpus")
-    runs = _parse_runs(args.runs)
-    ks = [int(k) for k in args.ks.split(",")]
-    configs = []
-    for k in ks:
-        for strategy, d in runs:
-            configs.append(DecodeConfig(beam_width=k, lookahead_depth=d,
-                                        max_len=args.max_len, strategy=strategy,
-                                        mode=args.mode, budget=args.budget))
-    try:
-        rows = compare_strategies(scorer, corpus, configs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with _open_scorer(args) as scorer:
+        corpus = _read_corpus(args.input)
+        if not corpus:
+            raise UsageError("empty corpus")
+        runs = _parse_runs(args.runs)
+        ks = [int(k) for k in args.ks.split(",")]
+        configs = []
+        for k in ks:
+            for strategy, d in runs:
+                configs.append(DecodeConfig(beam_width=k, lookahead_depth=d,
+                                            max_len=args.max_len, strategy=strategy,
+                                            mode=args.mode, budget=args.budget))
+        try:
+            rows = compare_strategies(scorer, corpus, configs)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     _atomic_write(args.output, rows_to_csv(rows))
     return EXIT_OK
 
@@ -188,26 +200,26 @@ def cmd_train(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    scorer = _make_scorer(args)
-    corpus = _read_corpus(args.input)
-    lines = []
-    for inp in corpus:
-        if args.enumerate:
-            enum = enumerate_all(scorer, inp, args.max_len, budget=args.budget)
-            for tokens, score in enum.all_complete:
+    with _open_scorer(args) as scorer:
+        corpus = _read_corpus(args.input)
+        lines = []
+        for inp in corpus:
+            if args.enumerate:
+                enum = enumerate_all(scorer, inp, args.max_len, budget=args.budget)
+                for tokens, score in enum.all_complete:
+                    lines.append(json.dumps({
+                        "id": inp.id,
+                        "tokens": scorer.vocabulary.to_strings(tokens[1:]),
+                        "score": _json_float(score),
+                    }))
+            else:
+                best = brute_force_map(scorer, inp, args.max_len, budget=args.budget)
                 lines.append(json.dumps({
                     "id": inp.id,
-                    "tokens": scorer.vocabulary.to_strings(tokens[1:]),
-                    "score": _json_float(score),
+                    "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
+                    "score": _json_float(best.cum_logprob),
+                    "p": math.exp(best.cum_logprob) if best.cum_logprob != float("-inf") else 0.0,
                 }))
-        else:
-            best = brute_force_map(scorer, inp, args.max_len, budget=args.budget)
-            lines.append(json.dumps({
-                "id": inp.id,
-                "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
-                "score": _json_float(best.cum_logprob),
-                "p": math.exp(best.cum_logprob) if best.cum_logprob != float("-inf") else 0.0,
-            }))
     _atomic_write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -256,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit every complete sequence instead of the argmax")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for random-model generation (reserved)")
     return parser
 
 

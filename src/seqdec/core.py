@@ -23,6 +23,21 @@ class ScorerTransportError(Exception):
     """A remote scorer failed at the transport/protocol level."""
 
 
+def check_budget(n_ext: int, depth: int, budget: int) -> None:
+    """Refuse when ``n_ext ** depth`` exceeds ``budget``.
+
+    The power is built one factor at a time and abandoned as soon as it
+    passes the budget, so a huge depth is refused at once.
+    """
+    nodes = 1
+    for _ in range(depth):
+        if nodes > budget or n_ext == 1:
+            break
+        nodes *= n_ext
+    if nodes > budget:
+        raise BudgetExceededError(f"{n_ext}^{depth} exceeds node budget {budget}")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Token inventory with distinguished BOS/EOS markers.
@@ -34,6 +49,10 @@ class Vocabulary:
     tokens: tuple[str, ...]
     bos_id: int
     eos_id: int
+    #: Token ids legal as hypothesis extensions (everything but BOS).
+    extension_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: Extension ids excluding EOS.
+    core_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bos_id == self.eos_id:
@@ -45,21 +64,14 @@ class Vocabulary:
             raise ValueError("token strings must be unique")
         if any(not t for t in self.tokens):
             raise ValueError("token strings must be non-empty")
+        ext = tuple(i for i in range(n) if i != self.bos_id)
+        object.__setattr__(self, "extension_ids", ext)
+        object.__setattr__(self, "core_ids", tuple(i for i in ext if i != self.eos_id))
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str], bos: str = "<s>", eos: str = "</s>") -> "Vocabulary":
         toks = tuple(tokens)
         return cls(toks, toks.index(bos), toks.index(eos))
-
-    @property
-    def extension_ids(self) -> tuple[int, ...]:
-        """Token ids legal as hypothesis extensions (everything but BOS)."""
-        return tuple(i for i in range(len(self.tokens)) if i != self.bos_id)
-
-    @property
-    def core_ids(self) -> tuple[int, ...]:
-        """Extension ids excluding EOS."""
-        return tuple(i for i in range(len(self.tokens)) if i not in (self.bos_id, self.eos_id))
 
     def to_strings(self, ids: Sequence[int]) -> list[str]:
         return [self.tokens[i] for i in ids]

@@ -6,7 +6,10 @@ Two execution modes are supported:
 * ``raw`` -- the literal fixed-iteration beam recursion. Complete
   hypotheses are carried forward unchanged (their own sole child with
   extension log-probability 0) so the recursion is well-defined past EOS.
-  Used for exact equivalence checks between strategies.
+  Every beam slot costs one scorer call per step, so call counts compare
+  across strategies; a finished slot's call is counted, but the model is
+  not asked for the row, which would be discarded. Used for exact
+  equivalence checks between strategies.
 * ``practical`` -- per step the top-2k candidates are popped; candidates
   ending in EOS are routed to a finished pool (best k kept) and the beam
   is refilled with the top-k incomplete popped candidates. Decoding stops
@@ -19,11 +22,11 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from seqdec.core import (
     NEG_INF,
-    BudgetExceededError,
     DecodeConfig,
     DecodeInput,
     DecodeResult,
@@ -31,6 +34,7 @@ from seqdec.core import (
     MetricsRecord,
     canonical_best,
     canonical_sorted,
+    check_budget,
     extend,
     kth_max,
 )
@@ -38,7 +42,7 @@ from seqdec.scorers import CountingScorer, Scorer
 
 
 def _children(scorer: Scorer, context: str, h: Hypothesis) -> list[Hypothesis]:
-    """All extensions of an incomplete hypothesis; one scorer call."""
+    """All extensions of an incomplete hypothesis; one scorer call (LHBS)."""
     vocab = scorer.vocabulary
     row = scorer.next_logprobs(context, h.tokens)
     return [extend(h, tid, row[tid], vocab.eos_id) for tid in vocab.extension_ids]
@@ -70,12 +74,6 @@ def _result(best: Hypothesis, finished: Sequence[Hypothesis],
     )
 
 
-def _pick_raw_best(beam: Sequence[Hypothesis]) -> tuple[Hypothesis, list[Hypothesis]]:
-    complete = [h for h in beam if h.complete]
-    best = canonical_best(complete) if complete else canonical_best(beam)
-    return best, complete
-
-
 def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Pick the single most probable token at every step."""
     t0 = time.perf_counter()
@@ -92,19 +90,31 @@ def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Dec
     return _result(h, finished, (h,), counted.calls, t0)
 
 
-def _practical_loop(counted: CountingScorer, context: str, config: DecodeConfig,
-                    select: Callable[[list[Hypothesis], list[Hypothesis], int], list[Hypothesis]],
+def _raw_loop(counted: CountingScorer, config: DecodeConfig,
+              select: Callable[[list[Hypothesis], int], list[Hypothesis]],
+              t0: float) -> DecodeResult:
+    """Shared raw-mode driver: ``max_len`` fixed steps of ``select(beam, k)``."""
+    beam = [Hypothesis.initial(counted.vocabulary)]
+    for _ in range(config.max_len):
+        beam = select(beam, config.beam_width)
+    complete = [h for h in beam if h.complete]
+    best = canonical_best(complete or beam)
+    return _result(best, complete, tuple(beam), counted.calls, t0)
+
+
+def _practical_loop(counted: CountingScorer, config: DecodeConfig,
+                    select: Callable[[list[Hypothesis], int], list[Hypothesis]],
                     t0: float) -> DecodeResult:
     """Shared practical-mode driver.
 
-    ``select(beam, candidates, n)`` returns the n popped candidates for the
-    step, ordered by the strategy's own popping rule.
+    ``select(beam, n)`` returns the n popped candidates for the step,
+    ordered by the strategy's own popping rule.
     """
     k = config.beam_width
     beam = [Hypothesis.initial(counted.vocabulary)]
     finished: list[Hypothesis] = []
     for _ in range(config.max_len):
-        popped = select(beam, [], 2 * k)
+        popped = select(beam, 2 * k)
         new_beam = [h for h in popped if not h.complete][:k]
         for h in popped:
             if h.complete:
@@ -122,35 +132,81 @@ def _practical_loop(counted: CountingScorer, context: str, config: DecodeConfig,
     return _result(best, finished, tuple(beam), counted.calls, t0)
 
 
+def _row(scorer: Scorer, context: str, tokens: tuple[int, ...]) -> list[float]:
+    """One scorer call; the row's log-probabilities in extension-id order."""
+    row = scorer.next_logprobs(context, tokens)
+    lps = list(map(row.__getitem__, scorer.vocabulary.extension_ids))
+    if max(lps) > 0.0:
+        raise ValueError("extension log-probability must be <= 0")
+    return lps
+
+
+# A ranked candidate is (-score, tokens, parent, logprob): the child of
+# ``parent`` by ``tokens[-1]``, or, with logprob None, a complete parent
+# carried forward as its own sole child. The first two fields give the
+# canonical order without a Hypothesis being built.
+_Entry = tuple[float, tuple[int, ...], Hypothesis, Optional[float]]
+_canonical = itemgetter(0, 1)
+
+
+def _ranked(counted: CountingScorer, context: str,
+            beam: Sequence[Hypothesis]) -> list[_Entry]:
+    """Every candidate of one beam step, in canonical order.
+
+    A complete beam slot (raw mode only) costs one logical call, but the
+    model is not asked: its row would be discarded.
+    """
+    ext = counted.vocabulary.extension_ids
+    entries: list[_Entry] = []
+    for h in beam:
+        if h.complete:
+            counted.charge()
+            entries.append((-h.cum_logprob, h.tokens, h, None))
+            continue
+        cum, tokens = h.cum_logprob, h.tokens
+        entries += [(-(cum + lp), tokens + (tid,), h, lp)
+                    for tid, lp in zip(ext, _row(counted, context, tokens))]
+    entries.sort(key=_canonical)
+    return entries
+
+
+def _hypothesis(entry: _Entry, eos_id: int) -> Hypothesis:
+    _, tokens, parent, lp = entry
+    return parent if lp is None else extend(parent, tokens[-1], lp, eos_id)
+
+
 def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Top-k beam search."""
     t0 = time.perf_counter()
     counted = CountingScorer(scorer)
-    k = config.beam_width
+    eos = counted.vocabulary.eos_id
+
+    def select(beam, n):
+        return [_hypothesis(e, eos) for e in _ranked(counted, inp.context, beam)[:n]]
 
     if config.mode == "raw":
-        beam = [Hypothesis.initial(counted.vocabulary)]
-        for _ in range(config.max_len):
-            cands: list[Hypothesis] = []
-            for h in beam:
-                if h.complete:
-                    # a finished slot still costs one scoring call per
-                    # step; it is carried forward as its own sole child
-                    counted.next_logprobs(inp.context, h.tokens)
-                    cands.append(h)
-                else:
-                    cands.extend(_children(counted, inp.context, h))
-            beam = canonical_sorted(cands)[:k]
-        best, complete = _pick_raw_best(beam)
-        return _result(best, complete, tuple(beam), counted.calls, t0)
+        return _raw_loop(counted, config, select, t0)
+    return _practical_loop(counted, config, select, t0)
 
-    def select(beam, _pool, n):
-        cands: list[Hypothesis] = []
-        for h in beam:
-            cands.extend(_children(counted, inp.context, h))
-        return canonical_sorted(cands)[:n]
 
-    return _practical_loop(counted, inp.context, config, select, t0)
+def _lookahead(scorer: Scorer, context: str, tokens: tuple[int, ...], cum: float,
+               d: int, f_max: float) -> float:
+    """eval_lookahead for an incomplete prefix and d >= 1, on floats."""
+    lps = _row(scorer, context, tokens)
+    if d == 1:
+        # each child would only raise f_max to its own score, and the
+        # best child's score is cum + max(lps) since addition is monotone
+        return max(f_max, cum + max(lps))
+    eos = scorer.vocabulary.eos_id
+    for neg, tid in sorted([(-(cum + lp), tid)
+                            for tid, lp in zip(scorer.vocabulary.extension_ids, lps)]):
+        score = -neg
+        if score < f_max:
+            break
+        if tid != eos:
+            score = _lookahead(scorer, context, tokens + (tid,), score, d - 1, f_max)
+        f_max = max(f_max, score)
+    return f_max
 
 
 def eval_lookahead(scorer: Scorer, context: str, h: Hypothesis, d: int,
@@ -159,71 +215,64 @@ def eval_lookahead(scorer: Scorer, context: str, h: Hypothesis, d: int,
 
     Returns max(f_max, h.cum_logprob + best d-step continuation increment).
     EOS is absorbing: a complete hypothesis contributes nothing further.
-    Branches whose running score already falls below f_max are pruned,
+    Children are visited by score descending, then token id ascending;
+    branches whose running score already falls below f_max are pruned,
     which is sound because scores never increase under extension.
     """
     if d < 0:
         raise ValueError("lookahead depth must be >= 0")
     if h.complete or d == 0:
         return max(h.cum_logprob, f_max)
-    children = _children(scorer, context, h)
-    children.sort(key=Hypothesis.sort_key)
-    for child in children:
-        if child.cum_logprob < f_max:
-            break
-        f_max = max(f_max, eval_lookahead(scorer, context, child, d - 1, f_max))
-    return f_max
+    return _lookahead(scorer, context, h.tokens, h.cum_logprob, d, f_max)
 
 
 def _lbs_select(counted: CountingScorer, context: str, beam: list[Hypothesis],
-                d: int, n: int) -> list[tuple[float, Hypothesis]]:
+                d: int, n: int) -> list[Hypothesis]:
     """Pick the n candidates maximizing current score + lookahead bonus.
 
     Candidates are visited in descending current score so the scan can
     stop at the first candidate whose current score already falls below
-    the running n-th best total. Returns (total, hypothesis) pairs in
-    selection order (total descending, canonical tie-break).
+    the running n-th best total. Returns the hypotheses in selection
+    order (total descending, canonical tie-break).
     """
-    cands: list[Hypothesis] = []
-    for h in beam:
-        if h.complete:
-            counted.next_logprobs(context, h.tokens)  # uniform per-slot cost
-            cands.append(h)
-        else:
-            cands.extend(_children(counted, context, h))
-    cands.sort(key=Hypothesis.sort_key)
-    scored: list[tuple[float, Hypothesis]] = []
-    for cand in cands:
+    eos = counted.vocabulary.eos_id
+    scored: list[tuple[float, _Entry]] = []
+    for entry in _ranked(counted, context, beam):
         bar = kth_max([f for f, _ in scored], n)
-        if cand.cum_logprob < bar:
+        neg, tokens = entry[0], entry[1]
+        if -neg < bar:
             break
-        f = eval_lookahead(counted, context, cand, d, bar)
+        if d == 0 or tokens[-1] == eos:
+            f = max(-neg, bar)
+        else:
+            f = _lookahead(counted, context, tokens, -neg, d, bar)
         if f > bar or len(scored) < n:
-            scored.append((f, cand))
-    scored.sort(key=lambda fc: (-fc[0],) + fc[1].sort_key())
-    return scored[:n]
+            scored.append((f, entry))
+    # stable: equal totals keep the canonical order of the scan
+    scored.sort(key=lambda fe: -fe[0])
+    return [_hypothesis(e, eos) for _, e in scored[:n]]
 
 
 def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Lookahead beam search: rank candidates by current score plus the
     best score achievable within ``lookahead_depth`` future steps. The
     lookahead only steers per-step selection; returned hypotheses are
-    ranked by their plain cumulative score."""
+    ranked by their plain cumulative score.
+
+    Refuses when the extension-token count raised to the lookahead depth
+    exceeds the budget.
+    """
     t0 = time.perf_counter()
     counted = CountingScorer(scorer)
-    k, d = config.beam_width, config.lookahead_depth
+    d = config.lookahead_depth
+    check_budget(len(counted.vocabulary.extension_ids), d, config.budget)
+
+    def select(beam, n):
+        return _lbs_select(counted, inp.context, beam, d, n)
 
     if config.mode == "raw":
-        beam = [Hypothesis.initial(counted.vocabulary)]
-        for _ in range(config.max_len):
-            beam = [h for _, h in _lbs_select(counted, inp.context, beam, d, k)]
-        best, complete = _pick_raw_best(beam)
-        return _result(best, complete, tuple(beam), counted.calls, t0)
-
-    def select(beam, _pool, n):
-        return [h for _, h in _lbs_select(counted, inp.context, beam, d, n)]
-
-    return _practical_loop(counted, inp.context, config, select, t0)
+        return _raw_loop(counted, config, select, t0)
+    return _practical_loop(counted, config, select, t0)
 
 
 def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
@@ -258,7 +307,7 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
                 h = prev[i]
                 if h.complete:
                     if raw:
-                        counted.next_logprobs(inp.context, h.tokens)  # uniform per-slot cost
+                        counted.charge()  # uniform per-slot cost, row not needed
                     pool.append(h)
                 else:
                     pool.extend(_children(counted, inp.context, h))
@@ -274,16 +323,8 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
         return popped
 
     if raw:
-        beam = [Hypothesis.initial(counted.vocabulary)]
-        for _ in range(config.max_len):
-            beam = step(beam)
-        best, complete = _pick_raw_best(beam)
-        return _result(best, complete, tuple(beam), counted.calls, t0)
-
-    def select(beam, _pool, n):
-        return canonical_sorted(step(beam))
-
-    return _practical_loop(counted, inp.context, config, select, t0)
+        return _raw_loop(counted, config, lambda beam, _: step(beam), t0)
+    return _practical_loop(counted, config, lambda beam, _: canonical_sorted(step(beam)), t0)
 
 
 def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
@@ -297,10 +338,7 @@ def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) ->
     t0 = time.perf_counter()
     counted = CountingScorer(scorer)
     vocab = counted.vocabulary
-    n_ext = len(vocab.extension_ids)
-    if n_ext ** config.max_len > config.budget:
-        raise BudgetExceededError(
-            f"{n_ext}^{config.max_len} exceeds node budget {config.budget}")
+    check_budget(len(vocab.extension_ids), config.max_len, config.budget)
 
     best: Optional[Hypothesis] = None
 

@@ -11,10 +11,9 @@ from typing import Sequence
 
 from seqdec.core import (
     DEFAULT_BUDGET,
-    BudgetExceededError,
     DecodeInput,
     Hypothesis,
-    Vocabulary,
+    check_budget,
 )
 from seqdec.scorers import Scorer
 
@@ -25,18 +24,12 @@ class EnumerationResult:
     count: int
 
 
-def _guard(vocab: Vocabulary, depth: int, budget: int) -> None:
-    if len(vocab.extension_ids) ** depth > budget:
-        raise BudgetExceededError(
-            f"{len(vocab.extension_ids)}^{depth} exceeds node budget {budget}")
-
-
 def enumerate_all(scorer: Scorer, inp: DecodeInput, n_max: int,
                   budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """Score every complete sequence of at most n_max generated tokens
     by direct left-to-right factorization."""
     vocab = scorer.vocabulary
-    _guard(vocab, n_max, budget)
+    check_budget(len(vocab.extension_ids), n_max, budget)
     complete: list[tuple[tuple[int, ...], float]] = []
     # frontier holds incomplete prefixes as (tokens, cum_logprob)
     frontier: list[tuple[tuple[int, ...], float]] = [((vocab.bos_id,), 0.0)]
@@ -83,7 +76,7 @@ def breadth_first_lookahead(scorer: Scorer, inp: DecodeInput, h: Hypothesis,
     if d == 0 or h.complete:
         return 0.0
     vocab = scorer.vocabulary
-    _guard(vocab, d, budget)
+    check_budget(len(vocab.extension_ids), d, budget)
     best = None
     frontier: list[tuple[tuple[int, ...], float]] = [(h.tokens, 0.0)]
     for _ in range(d):

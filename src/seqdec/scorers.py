@@ -24,8 +24,8 @@ class Scorer(Protocol):
 
 
 def _check_prefix(vocab: Vocabulary, prefix: Sequence[int]) -> None:
-    # A trailing EOS is tolerated: fixed-iteration decoding scores every
-    # beam slot uniformly, and the row for a finished slot is discarded.
+    # A trailing EOS is tolerated, so a finished prefix can still be
+    # scored; its row means nothing, and the decoders do not ask for it.
     if not prefix or prefix[0] != vocab.bos_id:
         raise ValueError("prefix must begin with BOS")
     if vocab.eos_id in prefix[:-1]:
@@ -199,7 +199,8 @@ def train_ngram(corpus: Sequence[str], order: int, alpha: float,
 
 
 class CountingScorer:
-    """Transparent wrapper counting next_logprobs invocations.
+    """Transparent wrapper counting logical scorer calls: every
+    next_logprobs invocation, plus every ``charge()``.
 
     Safe under concurrent decodes; per-decode counts are taken as deltas
     on a dedicated wrapper instance.
@@ -219,6 +220,12 @@ class CountingScorer:
         with self._lock:
             self._calls += 1
         return self.inner.next_logprobs(context, prefix)
+
+    def charge(self) -> None:
+        """Count one call without asking the wrapped scorer, for a row the
+        caller would discard (a finished raw-mode beam slot)."""
+        with self._lock:
+            self._calls += 1
 
 
 def load_model(kind: str, path: str):

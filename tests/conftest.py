@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from seqdec.core import DecodeInput, Hypothesis, Vocabulary, extend
+from seqdec.core import NEG_INF, DecodeInput, Hypothesis, Vocabulary, extend
 from seqdec.oracle import breadth_first_lookahead
 from seqdec.scorers import CountingScorer, TableModel
 
@@ -97,3 +97,22 @@ def lbs_reference_decode(scorer, context: str, d: int, k: int, n_max: int):
     for _ in range(n_max):
         beam = lbs_reference_step(counted, context, beam, d, k)
     return beam, counted.calls
+
+
+def reference_eval_lookahead(scorer, context: str, h, d: int, f_max: float = NEG_INF) -> float:
+    """Hypothesis-based branch-and-bound lookahead, kept as the reference
+    for the float kernel in ``seqdec.decode``: it builds every child as a
+    Hypothesis, sorts them canonically and recurses on the survivors."""
+    if d < 0:
+        raise ValueError("lookahead depth must be >= 0")
+    if h.complete or d == 0:
+        return max(h.cum_logprob, f_max)
+    vocab = scorer.vocabulary
+    row = scorer.next_logprobs(context, h.tokens)
+    children = [extend(h, tid, row[tid], vocab.eos_id) for tid in vocab.extension_ids]
+    children.sort(key=Hypothesis.sort_key)
+    for child in children:
+        if child.cum_logprob < f_max:
+            break
+        f_max = max(f_max, reference_eval_lookahead(scorer, context, child, d - 1, f_max))
+    return f_max

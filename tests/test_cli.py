@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from seqdec import cli
 from seqdec.cli import main
+from seqdec.remote import RemoteScorer, ScorerServer
 
 from conftest import make_tiny3
 
@@ -169,3 +171,86 @@ class TestOracleCommand:
         rc = main(["oracle", "--max-len", "2", "--model", model,
                    "--input", corpus, "--output", str(tmp / "o.jsonl")])
         assert rc == 4
+
+
+class TestLookaheadBudgetExit:
+    def test_deep_lookahead_exits_4(self, tiny3_files):
+        tmp, model, corpus = tiny3_files
+        out = str(tmp / "o.jsonl")
+        rc = main(["decode", "--strategy", "lbs", "--k", "2", "--d", "1200",
+                   "--model", model, "--input", corpus, "--output", out])
+        assert rc == 4
+        assert not os.path.exists(out)
+
+    def test_seed_flag_is_gone(self, tiny3_files):
+        tmp, model, corpus = tiny3_files
+        rc = main(["--seed", "1", "decode", "--strategy", "beam", "--model", model,
+                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
+        assert rc == 2
+
+
+@pytest.fixture
+def served(tmp_path, monkeypatch):
+    """A loopback ScorerServer for tiny3 and the RemoteScorer clients the
+    CLI opens against it."""
+    model = make_tiny3()
+    vocab_path = tmp_path / "vocab.json"
+    model.save(str(vocab_path))
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text('{"id": "s1", "context": ""}\n')
+    server = ScorerServer(model).start()
+    clients = []
+
+    class Recorded(RemoteScorer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clients.append(self)
+
+    monkeypatch.setattr(cli, "RemoteScorer", Recorded)
+    host, port = server.address
+    remote = ["--scorer", "remote", "--endpoint", f"{host}:{port}",
+              "--model", str(vocab_path)]
+    yield tmp_path, remote, str(corpus_path), clients
+    server.shutdown()
+    server.server_close()
+
+
+class TestRemoteScorerClosed:
+    def assert_closed(self, clients):
+        assert len(clients) == 1
+        assert clients[0]._sock.fileno() == -1
+
+    def test_decode(self, served):
+        tmp, remote, corpus, clients = served
+        rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3", *remote,
+                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
+        assert rc == 0
+        self.assert_closed(clients)
+
+    def test_decode_error_path(self, served):
+        tmp, remote, _, clients = served
+        rc = main(["decode", "--strategy", "beam", *remote,
+                   "--input", str(tmp / "nope.jsonl"), "--output", str(tmp / "o.jsonl")])
+        assert rc == 2
+        self.assert_closed(clients)
+
+    def test_decode_budget_path(self, served):
+        tmp, remote, corpus, clients = served
+        rc = main(["decode", "--strategy", "lbs", "--d", "1200", *remote,
+                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
+        assert rc == 4
+        self.assert_closed(clients)
+
+    def test_compare(self, served):
+        tmp, remote, corpus, clients = served
+        rc = main(["compare", "--runs", "beam,lbs:1", "--ks", "2", "--max-len", "3",
+                   *remote, "--input", corpus, "--output", str(tmp / "r.csv")])
+        assert rc == 0
+        self.assert_closed(clients)
+
+    def test_compare_error_path(self, served):
+        tmp, remote, corpus, clients = served
+        rc = main(["compare", "--runs", "lbs:1", "--ks", "2", *remote,
+                   "--input", corpus, "--output", str(tmp / "r.csv")])
+        assert rc == 2  # no beam baseline
+        self.assert_closed(clients)

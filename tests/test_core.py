@@ -5,11 +5,13 @@ import pytest
 
 from seqdec.core import (
     NEG_INF,
+    BudgetExceededError,
     DecodeConfig,
     Hypothesis,
     Vocabulary,
     canonical_compare,
     canonical_sorted,
+    check_budget,
     extend,
     kth_max,
 )
@@ -155,3 +157,37 @@ class TestDecodeConfig:
             DecodeConfig(mode="nope")
         with pytest.raises(ValueError):
             DecodeConfig(lookahead_depth=-1)
+
+
+class TestStoredIds:
+    def test_ids_are_stored_once(self):
+        v = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+        assert v.extension_ids is v.extension_ids
+        assert v.core_ids is v.core_ids
+        assert v.extension_ids == (1, 2, 3)
+
+    def test_bos_and_eos_anywhere(self):
+        v = Vocabulary(("x", "</s>", "<s>", "y"), 2, 1)
+        assert v.extension_ids == (0, 1, 3)
+        assert v.core_ids == (0, 3)
+
+    def test_equality_and_hash_use_declared_fields_only(self):
+        a = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        b = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.tokens, a.bos_id, a.eos_id))
+        assert "extension_ids" not in repr(a)
+
+
+class TestCheckBudget:
+    def test_power_against_budget(self):
+        check_budget(4, 3, 64)
+        with pytest.raises(BudgetExceededError, match="4\\^4"):
+            check_budget(4, 4, 255)
+        with pytest.raises(BudgetExceededError):
+            check_budget(3, 0, 0)
+
+    def test_huge_depth_is_decided_at_once(self):
+        with pytest.raises(BudgetExceededError):
+            check_budget(2, 10**12, 10**7)
+        check_budget(1, 10**12, 1)

@@ -308,3 +308,20 @@ class TestModes:
                 }[strategy](model, inp, cfg(strategy, k=2, d=1, n_max=4, mode=mode))
                 if r.best.complete:
                     assert bf.cum_logprob >= r.best.cum_logprob - 1e-12
+
+
+class TestLookaheadBudget:
+    def test_deep_lookahead_refused(self, inp):
+        model = random_table_model(0, 4, 4)  # 4 extension tokens: 4^6 = 4096 > 100
+        for mode in ("raw", "practical"):
+            with pytest.raises(BudgetExceededError):
+                lbs_decode(model, inp, cfg("lbs", k=2, d=6, mode=mode, budget=100))
+
+    def test_lookahead_within_budget_runs(self, inp):
+        model = random_table_model(0, 4, 4)  # 4^3 = 64 <= 100
+        r = lbs_decode(model, inp, cfg("lbs", k=2, d=3, budget=100))
+        assert r.best.tokens[0] == model.vocabulary.bos_id
+
+    def test_huge_depth_refused_without_recursing(self, tiny3, inp):
+        with pytest.raises(BudgetExceededError):
+            lbs_decode(tiny3, inp, cfg("lbs", k=2, d=1200))

@@ -1,0 +1,190 @@
+"""The score-first search kernel: bit-exact agreement with the
+Hypothesis-based reference, logical calls against model calls, and
+rejection of positive log-probabilities."""
+
+import random
+
+import pytest
+
+from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, Hypothesis, Vocabulary, extend
+from seqdec.decode import beam_decode, eval_lookahead, lbs_decode, lhbs_decode
+from seqdec.scorers import CountingScorer
+
+from conftest import lbs_reference_decode, random_table_model, reference_eval_lookahead
+
+SEEDS = range(200)
+INP = DecodeInput("k0")
+
+
+def raw(strategy, k, d=0, n_max=4):
+    return DecodeConfig(beam_width=k, lookahead_depth=d, max_len=n_max,
+                        strategy=strategy, mode="raw")
+
+
+def random_start(model, rng):
+    """The root, or a random incomplete prefix of one or two tokens, or a
+    complete one."""
+    vocab = model.vocabulary
+    h = Hypothesis.initial(vocab)
+    for _ in range(rng.randrange(3)):
+        tid = rng.choice(vocab.extension_ids)
+        h = extend(h, tid, model.next_logprobs("", h.tokens)[tid], vocab.eos_id)
+        if h.complete:
+            break
+    return h
+
+
+def random_f_max(h, rng):
+    roll = rng.random()
+    if roll < 0.3:
+        return NEG_INF
+    if roll < 0.4:
+        return h.cum_logprob
+    return h.cum_logprob - rng.uniform(0.0, 4.0)
+
+
+def test_eval_lookahead_bit_exact_against_reference():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        model = random_table_model(seed, 3 + seed % 3, 4, allow_zero=(seed % 4 == 0))
+        for _ in range(3):
+            h = random_start(model, rng)
+            for d in (0, 1, 2, 3):
+                f_max = random_f_max(h, rng)
+                got_scorer, want_scorer = CountingScorer(model), CountingScorer(model)
+                got = eval_lookahead(got_scorer, "", h, d, f_max)
+                want = reference_eval_lookahead(want_scorer, "", h, d, f_max)
+                assert got.hex() == want.hex(), (seed, h.tokens, d, f_max)
+                assert got_scorer.calls == want_scorer.calls, (seed, h.tokens, d, f_max)
+
+
+def test_raw_beam_and_lbs_d0_match_reference():
+    for seed in SEEDS:
+        model = random_table_model(seed, 4, 4, allow_zero=(seed % 3 == 0))
+        k = 1 + seed % 3
+        ref_beam, _ = lbs_reference_decode(model, "", 0, k, 4)
+        assert beam_decode(model, INP, raw("beam", k)).final_beam == tuple(ref_beam), seed
+        assert lbs_decode(model, INP, raw("lbs", k)).final_beam == tuple(ref_beam), seed
+
+
+def test_raw_lbs_matches_reference():
+    for seed in SEEDS:
+        model = random_table_model(seed, 4, 4, allow_zero=(seed % 3 == 0))
+        k = 1 + seed % 3
+        for d in (1, 2):
+            ref_beam, _ = lbs_reference_decode(model, "", d, k, 4)
+            got = lbs_decode(model, INP, raw("lbs", k, d))
+            assert got.final_beam == tuple(ref_beam), (seed, d)
+
+
+class DyadicScorer:
+    """Rows of exactly representable log-probabilities (multiples of
+    -1/4), drawn per prefix from a seeded generator, so candidate scores
+    tie often and exactly and the canonical tie-break on full token
+    tuples decides the beam. Rows are not normalized: only the search
+    order is under test."""
+
+    def __init__(self, seed):
+        self.vocabulary = Vocabulary.from_tokens(["<s>", "a", "b", "c", "</s>"])
+        self.seed = seed
+
+    def next_logprobs(self, context, prefix):
+        rng = random.Random(f"{self.seed}/{tuple(prefix)}")
+        return {tid: -0.25 * rng.randint(1, 4) for tid in self.vocabulary.extension_ids}
+
+
+def test_exact_ties_follow_the_canonical_order():
+    for seed in range(100):
+        scorer = DyadicScorer(seed)
+        k = 2 + seed % 3
+        for d in (0, 1, 2):
+            ref_beam, _ = lbs_reference_decode(scorer, "", d, k, 5)
+            got = lbs_decode(scorer, INP, raw("lbs", k, d, n_max=5))
+            assert got.final_beam == tuple(ref_beam), (seed, d)
+        assert beam_decode(scorer, INP, raw("beam", k, n_max=5)).final_beam == \
+            lbs_decode(scorer, INP, raw("lbs", k, n_max=5)).final_beam, seed
+
+
+class ModelCalls:
+    """Counts the calls that reach the model."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocabulary = inner.vocabulary
+        self.calls = 0
+
+    def next_logprobs(self, context, prefix):
+        self.calls += 1
+        return self.inner.next_logprobs(context, prefix)
+
+
+#: scorer_calls of raw beam k=3, lbs k=2 d=1, lbs k=2 d=2 and lhbs k=3
+#: (max_len 5) on random_table_model(seed, 4, 4), as recorded before
+#: finished slots stopped reaching the model.
+LOGICAL_CALLS = {
+    0: (13, 18, 24, 13),
+    1: (13, 13, 14, 13),
+    2: (13, 21, 34, 13),
+    3: (13, 13, 14, 13),
+    4: (13, 11, 12, 13),
+    5: (13, 13, 14, 13),
+}
+RAW_RUNS = ((beam_decode, "beam", 3, 0), (lbs_decode, "lbs", 2, 1),
+            (lbs_decode, "lbs", 2, 2), (lhbs_decode, "lhbs", 3, 0))
+
+
+def test_finished_raw_slots_count_without_asking_the_model():
+    for seed, expected in LOGICAL_CALLS.items():
+        model = random_table_model(seed, 4, 4, allow_zero=(seed % 2 == 1))
+        for (fn, strategy, k, d), calls in zip(RAW_RUNS, expected):
+            proxy = ModelCalls(model)
+            result = fn(proxy, INP, raw(strategy, k, d, n_max=5))
+            assert result.scorer_calls == calls, (seed, strategy, d)
+            assert proxy.calls < result.scorer_calls, (seed, strategy, d)
+
+
+class PositiveRow:
+    """A malformed scorer: once the prefix holds ``from_length`` tokens
+    (BOS included), its rows put log-probability 0.5 on EOS."""
+
+    def __init__(self, from_length=1):
+        self.vocabulary = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+        self.from_length = from_length
+
+    def next_logprobs(self, context, prefix):
+        eos = 0.5 if len(prefix) >= self.from_length else -2.0
+        return {1: -1.0, 2: -1.5, 3: eos}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_positive_row_rejected_by_lookahead(d):
+    scorer = PositiveRow()
+    h = Hypothesis.initial(scorer.vocabulary)
+    with pytest.raises(ValueError, match="must be <= 0"):
+        eval_lookahead(scorer, "", h, d)
+    with pytest.raises(ValueError, match="must be <= 0"):
+        reference_eval_lookahead(scorer, "", h, d)
+
+
+@pytest.mark.parametrize("fn,strategy,mode,d", [
+    (beam_decode, "beam", "raw", 0),
+    (beam_decode, "beam", "practical", 0),
+    (lbs_decode, "lbs", "raw", 0),
+    (lbs_decode, "lbs", "raw", 2),
+    (lbs_decode, "lbs", "practical", 1),
+])
+def test_positive_row_rejected_by_ranking(fn, strategy, mode, d):
+    config = DecodeConfig(beam_width=2, lookahead_depth=d, max_len=3,
+                          strategy=strategy, mode=mode)
+    with pytest.raises(ValueError, match="must be <= 0"):
+        fn(PositiveRow(), INP, config)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_positive_row_rejected_inside_lbs_lookahead(d):
+    # the first step's row is valid; only rows the lookahead asks for are not
+    config = DecodeConfig(beam_width=2, lookahead_depth=d, max_len=1,
+                          strategy="lbs", mode="raw")
+    with pytest.raises(ValueError, match="must be <= 0"):
+        lbs_decode(PositiveRow(from_length=2), INP, config)
+    assert beam_decode(PositiveRow(from_length=2), INP, raw("beam", 2, n_max=1))
