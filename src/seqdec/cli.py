@@ -218,7 +218,7 @@ def cmd_oracle(args) -> int:
                     "id": inp.id,
                     "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
                     "score": _json_float(best.cum_logprob),
-                    "p": math.exp(best.cum_logprob) if best.cum_logprob != float("-inf") else 0.0,
+                    "p": math.exp(best.cum_logprob),
                 }))
     _atomic_write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -128,16 +128,6 @@ def kth_max(scores: Sequence[float], k: int) -> float:
     return sorted(scores, reverse=True)[k - 1]
 
 
-def canonical_compare(a: Hypothesis, b: Hypothesis) -> int:
-    """-1/0/+1 ordering by score descending, token sequence ascending."""
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def canonical_sorted(hyps: Sequence[Hypothesis]) -> list[Hypothesis]:
     return sorted(hyps, key=Hypothesis.sort_key)
 

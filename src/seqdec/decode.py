@@ -23,7 +23,7 @@ import math
 import statistics
 import time
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from seqdec.core import (
     NEG_INF,
@@ -39,13 +39,6 @@ from seqdec.core import (
     kth_max,
 )
 from seqdec.scorers import CountingScorer, Scorer
-
-
-def _children(scorer: Scorer, context: str, h: Hypothesis) -> list[Hypothesis]:
-    """All extensions of an incomplete hypothesis; one scorer call (LHBS)."""
-    vocab = scorer.vocabulary
-    row = scorer.next_logprobs(context, h.tokens)
-    return [extend(h, tid, row[tid], vocab.eos_id) for tid in vocab.extension_ids]
 
 
 def _metrics(best: Hypothesis, calls: int, wall_ms: float) -> MetricsRecord:
@@ -90,46 +83,34 @@ def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Dec
     return _result(h, finished, (h,), counted.calls, t0)
 
 
-def _raw_loop(counted: CountingScorer, config: DecodeConfig,
-              select: Callable[[list[Hypothesis], int], list[Hypothesis]],
-              t0: float) -> DecodeResult:
-    """Shared raw-mode driver: ``max_len`` fixed steps of ``select(beam, k)``."""
-    beam = [Hypothesis.initial(counted.vocabulary)]
-    for _ in range(config.max_len):
-        beam = select(beam, config.beam_width)
-    complete = [h for h in beam if h.complete]
-    best = canonical_best(complete or beam)
-    return _result(best, complete, tuple(beam), counted.calls, t0)
+def _search(counted: CountingScorer, config: DecodeConfig,
+            select: Callable[[list[Hypothesis], int], list[Hypothesis]],
+            t0: float) -> DecodeResult:
+    """The search loop beam, LBS and LHBS share, in both modes.
 
-
-def _practical_loop(counted: CountingScorer, config: DecodeConfig,
-                    select: Callable[[list[Hypothesis], int], list[Hypothesis]],
-                    t0: float) -> DecodeResult:
-    """Shared practical-mode driver.
-
-    ``select(beam, n)`` returns the n popped candidates for the step,
-    ordered by the strategy's own popping rule.
+    ``select(beam, n)`` returns one step's candidates in the strategy's
+    own order: the next beam in raw mode (n = k), which runs ``max_len``
+    fixed steps; the popped candidates in practical mode (n = 2k), which
+    routes the complete ones to the finished pool.
     """
     k = config.beam_width
     beam = [Hypothesis.initial(counted.vocabulary)]
+    if config.mode == "raw":
+        for _ in range(config.max_len):
+            beam = select(beam, k)
+        finished = [h for h in beam if h.complete]
+        return _result(canonical_best(finished or beam), finished, beam, counted.calls, t0)
     finished: list[Hypothesis] = []
     for _ in range(config.max_len):
         popped = select(beam, 2 * k)
-        new_beam = [h for h in popped if not h.complete][:k]
-        for h in popped:
-            if h.complete:
-                finished.append(h)
-        finished = canonical_sorted(finished)[:k]
-        beam = new_beam
+        beam = [h for h in popped if not h.complete][:k]
+        finished = canonical_sorted(finished + [h for h in popped if h.complete])[:k]
         if not beam:
             break
         if finished and max(h.cum_logprob for h in beam) <= finished[0].cum_logprob:
             break
-    if finished:
-        best = finished[0]
-    else:
-        best = canonical_best(beam)
-    return _result(best, finished, tuple(beam), counted.calls, t0)
+    best = finished[0] if finished else canonical_best(beam)
+    return _result(best, finished, beam, counted.calls, t0)
 
 
 def _row(scorer: Scorer, context: str, tokens: tuple[int, ...]) -> list[float]:
@@ -184,9 +165,7 @@ def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
     def select(beam, n):
         return [_hypothesis(e, eos) for e in _ranked(counted, inp.context, beam)[:n]]
 
-    if config.mode == "raw":
-        return _raw_loop(counted, config, select, t0)
-    return _practical_loop(counted, config, select, t0)
+    return _search(counted, config, select, t0)
 
 
 def _lookahead(scorer: Scorer, context: str, tokens: tuple[int, ...], cum: float,
@@ -270,9 +249,7 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     def select(beam, n):
         return _lbs_select(counted, inp.context, beam, d, n)
 
-    if config.mode == "raw":
-        return _raw_loop(counted, config, select, t0)
-    return _practical_loop(counted, config, select, t0)
+    return _search(counted, config, select, t0)
 
 
 def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
@@ -285,78 +262,71 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
     influences which candidates survive. Raw mode pops one candidate per
     slot; practical mode pops two. When the previous beam holds fewer
     hypotheses than there are slots, the extra slots pop from the
-    leftover pool alone.
+    leftover pool alone. Pools hold the ranked entries of beam and LBS;
+    a ``Hypothesis`` is built only for a popped entry.
 
     If ``trace`` is a list, a per-step record is appended with the sorted
     previous beam and each slot's pool snapshot and popped candidates.
     """
     t0 = time.perf_counter()
     counted = CountingScorer(scorer)
-    k = config.beam_width
-    raw = config.mode == "raw"
-    pops_per_slot = 1 if raw else 2
+    eos = counted.vocabulary.eos_id
+    pops = 1 if config.mode == "raw" else 2
 
-    def step(beam: list[Hypothesis]) -> list[Hypothesis]:
+    def select(beam, _):
         prev = canonical_sorted(beam)
-        leftover: list[Hypothesis] = []
+        leftover: list[_Entry] = []
         popped: list[Hypothesis] = []
-        slot_records = []
-        for i in range(k):
-            pool = list(leftover)
-            if i < len(prev):
-                h = prev[i]
-                if h.complete:
-                    if raw:
-                        counted.charge()  # uniform per-slot cost, row not needed
-                    pool.append(h)
-                else:
-                    pool.extend(_children(counted, inp.context, h))
+        slots = []
+        for i in range(config.beam_width):
+            pool = sorted(leftover + _ranked(counted, inp.context, prev[i:i + 1]),
+                          key=_canonical)
             if not pool:
                 break
-            pool = canonical_sorted(pool)
-            taken, leftover = pool[:pops_per_slot], pool[pops_per_slot:]
-            popped.extend(taken)
+            taken = [_hypothesis(e, eos) for e in pool[:pops]]
+            leftover = pool[pops:]
+            popped += taken
             if trace is not None:
-                slot_records.append({"slot": i, "pool": list(pool), "popped": list(taken)})
+                slots.append({"slot": i, "pool": taken + [_hypothesis(e, eos) for e in leftover],
+                              "popped": taken})
         if trace is not None:
-            trace.append({"prev": prev, "slots": slot_records})
-        return popped
+            trace.append({"prev": prev, "slots": slots})
+        return popped if config.mode == "raw" else canonical_sorted(popped)
 
-    if raw:
-        return _raw_loop(counted, config, lambda beam, _: step(beam), t0)
-    return _practical_loop(counted, config, lambda beam, _: canonical_sorted(step(beam)), t0)
+    return _search(counted, config, select, t0)
 
 
 def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Exact MAP search by depth-first enumeration with score pruning.
 
-    Any prefix whose score is already strictly below the best complete
-    score found so far is discarded; the result is identical to full
-    enumeration. Intended for desk-scale instances only: refuses when
-    the extension-token count raised to max_len exceeds the budget.
+    Children are visited in token-id order from an explicit stack, so
+    ``max_len`` is not limited by Python's recursion depth. Any prefix
+    whose score is already strictly below the best complete score found
+    so far is discarded; the result is identical to full enumeration.
+    Intended for desk-scale instances only: refuses when the
+    extension-token count raised to max_len exceeds the budget.
     """
     t0 = time.perf_counter()
     counted = CountingScorer(scorer)
     vocab = counted.vocabulary
     check_budget(len(vocab.extension_ids), config.max_len, config.budget)
 
-    best: Optional[Hypothesis] = None
-
-    def visit(h: Hypothesis) -> None:
-        nonlocal best
-        if best is not None and h.cum_logprob < best.cum_logprob:
-            return
+    def children(h: Hypothesis) -> Iterator[Hypothesis]:
         row = counted.next_logprobs(inp.context, h.tokens)
-        for tid in vocab.extension_ids:
-            child = extend(h, tid, row[tid], vocab.eos_id)
-            if child.complete:
-                if best is None or child.sort_key() < best.sort_key():
-                    best = child
-            elif child.length < config.max_len:
-                visit(child)
+        return (extend(h, tid, row[tid], vocab.eos_id) for tid in vocab.extension_ids)
 
-    root = Hypothesis.initial(vocab)
-    visit(root)
+    best: Optional[Hypothesis] = None
+    stack = [children(Hypothesis.initial(vocab))]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif child.complete:
+            if best is None or child.sort_key() < best.sort_key():
+                best = child
+        elif child.length < config.max_len and (
+                best is None or not child.cum_logprob < best.cum_logprob):
+            stack.append(children(child))
     assert best is not None  # [BOS, EOS] is always reachable
     return _result(best, (best,), (best,), counted.calls, t0)
 

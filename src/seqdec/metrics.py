@@ -10,15 +10,12 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 from seqdec.core import DecodeConfig, DecodeInput
 from seqdec.decode import decode
 from seqdec.scorers import Scorer
-
-CSV_HEADER = ["strategy", "k", "d", "mean_nll", "delta_nll_vs_beam",
-              "mean_uid_error", "mean_length", "mean_ppl", "mean_calls"]
 
 
 @dataclass(frozen=True)
@@ -62,10 +59,8 @@ class ComparisonRow:
     mean_ppl: float
     mean_calls: float
 
-    def as_csv_row(self) -> list:
-        return [self.strategy, self.k, self.d, self.mean_nll,
-                self.delta_nll_vs_beam, self.mean_uid_error,
-                self.mean_length, self.mean_ppl, self.mean_calls]
+
+CSV_HEADER = [f.name for f in fields(ComparisonRow)]
 
 
 def _mean(xs: Sequence[float]) -> float:
@@ -117,6 +112,5 @@ def rows_to_csv(rows: Sequence[ComparisonRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(row.as_csv_row())
+    writer.writerows(map(astuple, rows))
     return buf.getvalue()

@@ -21,7 +21,6 @@ from seqdec.scorers import Scorer
 @dataclass(frozen=True)
 class EnumerationResult:
     all_complete: tuple[tuple[tuple[int, ...], float], ...]
-    count: int
 
 
 def enumerate_all(scorer: Scorer, inp: DecodeInput, n_max: int,
@@ -41,7 +40,7 @@ def enumerate_all(scorer: Scorer, inp: DecodeInput, n_max: int,
             for tid in vocab.core_ids:
                 next_frontier.append((tokens + (tid,), score + row[tid]))
         frontier = next_frontier
-    return EnumerationResult(tuple(complete), len(complete))
+    return EnumerationResult(tuple(complete))
 
 
 def brute_force_map(scorer: Scorer, inp: DecodeInput, n_max: int,

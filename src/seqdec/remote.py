@@ -6,7 +6,9 @@ Response: {"id": uint, "logprobs": {token string: float, ...}} covering
 every extension token. Ids are echoed; the peer answers requests in
 order. Rows are validated for vocabulary coverage and normalization
 within 1e-6 (looser than the in-process 1e-9 to tolerate text
-round-trip rounding).
+round-trip rounding); a NaN fails the normalization test. A request the
+server cannot answer (bad JSON, an unknown token, a prefix without BOS)
+gets {"id": uint or null, "error": str}, and the connection stays open.
 """
 
 from __future__ import annotations
@@ -62,37 +64,54 @@ class RemoteScorer:
             response = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ScorerTransportError(f"malformed response: {exc}") from exc
+        if not isinstance(response, dict):
+            raise ScorerTransportError("malformed response: not a JSON object")
+        if "error" in response:
+            raise ScorerTransportError(f"server error: {response['error']}")
         if response.get("id") != req_id:
             raise ScorerTransportError(
                 f"response id {response.get('id')} does not match request {req_id}")
         logprobs = response.get("logprobs")
         if not isinstance(logprobs, dict):
             raise ScorerTransportError("response missing logprobs object")
-        row = {}
-        for tid in vocab.extension_ids:
-            tok = vocab.tokens[tid]
-            if tok not in logprobs:
-                raise ScorerTransportError(f"response missing token {tok!r}")
-            row[tid] = float(logprobs[tok])
+        try:
+            row = {tid: float(logprobs[vocab.tokens[tid]]) for tid in vocab.extension_ids}
+        except KeyError as exc:
+            raise ScorerTransportError(f"response missing token {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ScorerTransportError(f"malformed log-probability: {exc}") from exc
         mass = sum(math.exp(lp) for lp in row.values() if lp != float("-inf"))
-        if abs(mass - 1.0) > 1e-6:
+        if not abs(mass - 1.0) <= 1e-6:  # also rejects NaN
             raise ScorerTransportError(f"response row sums to {mass}, not 1")
         return row
+
+
+def _respond(scorer: Scorer, str_to_id: dict[str, int], line: bytes) -> dict:
+    """The response to one request line: its row, or an error naming what
+    was wrong with the request."""
+    req_id = None
+    try:
+        request = json.loads(line)
+        req_id = request.get("id")
+        unknown = [t for t in request["prefix"] if t not in str_to_id]
+        if unknown:
+            raise ValueError(f"unknown token {unknown[0]!r}")
+        prefix = tuple(str_to_id[t] for t in request["prefix"])
+        row = scorer.next_logprobs(request.get("context", ""), prefix)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        return {"id": req_id, "error": f"{type(exc).__name__}: {exc}"}
+    tokens = scorer.vocabulary.tokens
+    return {"id": req_id, "logprobs": {tokens[tid]: lp for tid, lp in row.items()}}
 
 
 class _ScorerRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         scorer: Scorer = self.server.scorer  # type: ignore[attr-defined]
-        vocab = scorer.vocabulary
-        str_to_id = {tok: i for i, tok in enumerate(vocab.tokens)}
+        str_to_id = {tok: i for i, tok in enumerate(scorer.vocabulary.tokens)}
         for line in self.rfile:
             if not line.strip():
                 continue
-            request = json.loads(line)
-            prefix = tuple(str_to_id[t] for t in request["prefix"])
-            row = scorer.next_logprobs(request.get("context", ""), prefix)
-            response = {"id": request["id"],
-                        "logprobs": {vocab.tokens[tid]: lp for tid, lp in row.items()}}
+            response = _respond(scorer, str_to_id, line)
             self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
             self.wfile.flush()
 

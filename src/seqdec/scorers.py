@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from typing import Protocol, Sequence
 
 from seqdec.core import NEG_INF, Vocabulary
@@ -45,7 +44,21 @@ def context_key(vocab: Vocabulary, prefix: Sequence[int]) -> str:
     return " ".join(vocab.tokens[i] for i in prefix[1:])
 
 
-class TableModel:
+class _JsonModel:
+    """Saving and loading through a subclass's ``to_json``/``from_json``,
+    with sorted keys so the bytes are reproducible."""
+
+    def save(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(self.to_json(), f, sort_keys=True)
+
+    @classmethod
+    def load(cls, path: str):
+        with open(path, encoding="utf-8") as f:
+            return cls.from_json(json.load(f))
+
+
+class TableModel(_JsonModel):
     """Explicit lookup-table model, the workhorse test fixture.
 
     Rows are keyed by the space-joined post-BOS prefix; unlisted prefixes
@@ -83,15 +96,6 @@ class TableModel:
         vocab = Vocabulary.from_tokens(obj["vocab"])
         return cls(vocab, obj["rows"], obj["default"])
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str) -> "TableModel":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
-
 
 class UniformModel:
     """Every extension token gets probability 1/|extension set|."""
@@ -107,7 +111,7 @@ class UniformModel:
         return dict(self._row)
 
 
-class NgramModel:
+class NgramModel(_JsonModel):
     """Add-alpha smoothed n-gram model over whitespace tokens.
 
     The conditioning history is the context string's tokens followed by
@@ -158,15 +162,6 @@ class NgramModel:
         vocab = Vocabulary.from_tokens(obj["vocab"])
         return cls(vocab, obj["order"], obj["alpha"], obj["counts"])
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str) -> "NgramModel":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
-
 
 def train_ngram(corpus: Sequence[str], order: int, alpha: float,
                 bos: str = "<s>", eos: str = "</s>") -> NgramModel:
@@ -202,30 +197,22 @@ class CountingScorer:
     """Transparent wrapper counting logical scorer calls: every
     next_logprobs invocation, plus every ``charge()``.
 
-    Safe under concurrent decodes; per-decode counts are taken as deltas
-    on a dedicated wrapper instance.
+    Each decode builds its own wrapper, so ``calls`` is that decode's count.
     """
 
     def __init__(self, inner: Scorer):
         self.inner = inner
         self.vocabulary = inner.vocabulary
-        self._calls = 0
-        self._lock = threading.Lock()
-
-    @property
-    def calls(self) -> int:
-        return self._calls
+        self.calls = 0
 
     def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
-        with self._lock:
-            self._calls += 1
+        self.calls += 1
         return self.inner.next_logprobs(context, prefix)
 
     def charge(self) -> None:
         """Count one call without asking the wrapped scorer, for a row the
         caller would discard (a finished raw-mode beam slot)."""
-        with self._lock:
-            self._calls += 1
+        self.calls += 1
 
 
 def load_model(kind: str, path: str):

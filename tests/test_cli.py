@@ -6,7 +6,9 @@ import pytest
 
 from seqdec import cli
 from seqdec.cli import main
+from seqdec.core import Vocabulary
 from seqdec.remote import RemoteScorer, ScorerServer
+from seqdec.scorers import TableModel
 
 from conftest import make_tiny3
 
@@ -182,11 +184,39 @@ class TestLookaheadBudgetExit:
         assert rc == 4
         assert not os.path.exists(out)
 
+    def test_deep_exhaustive_search_exits_0(self, tiny3_files):
+        tmp, model, corpus = tiny3_files
+        out = str(tmp / "o.jsonl")
+        rc = main(["decode", "--strategy", "exhaustive", "--max-len", "2000",
+                   "--budget", str(2**4000), "--model", model, "--input", corpus,
+                   "--output", out])
+        assert rc == 0
+        assert read_jsonl(out)[0]["tokens"] == ["a", "</s>"]
+
     def test_seed_flag_is_gone(self, tiny3_files):
         tmp, model, corpus = tiny3_files
         rc = main(["--seed", "1", "decode", "--strategy", "beam", "--model", model,
                    "--input", corpus, "--output", str(tmp / "o.jsonl")])
         assert rc == 2
+
+
+def test_server_error_reply_exits_3(tiny3_files, capsys):
+    tmp, model, corpus = tiny3_files
+    # the server's BOS is spelled differently, so it does not know the
+    # client's "<s>" and answers with an error
+    vocab = Vocabulary.from_tokens(["<bos>", "a", "b", "</s>"], bos="<bos>")
+    server = ScorerServer(TableModel(vocab, {}, {"a": 0.5, "b": 0.25, "</s>": 0.25})).start()
+    try:
+        host, port = server.address
+        rc = main(["decode", "--strategy", "beam", "--scorer", "remote", "--model", model,
+                   "--endpoint", f"{host}:{port}", "--input", corpus,
+                   "--output", str(tmp / "o.jsonl")])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert rc == 3
+    assert "server error: ValueError: unknown token '<s>'" in capsys.readouterr().err
+    assert not os.path.exists(tmp / "o.jsonl")
 
 
 @pytest.fixture

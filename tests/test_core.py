@@ -9,7 +9,6 @@ from seqdec.core import (
     DecodeConfig,
     Hypothesis,
     Vocabulary,
-    canonical_compare,
     canonical_sorted,
     check_budget,
     extend,
@@ -57,16 +56,16 @@ class TestCanonicalOrder:
     def test_lexicographic_on_score_tie(self):
         a = h([0, 1], [-1.0])
         b = h([0, 2], [-1.0])
-        assert canonical_compare(a, b) == -1
+        assert a.sort_key() < b.sort_key()
 
     def test_score_descending(self):
         a = h([0, 2], [-1.0])
         b = h([0, 1], [-2.0])
-        assert canonical_compare(a, b) == -1
+        assert a.sort_key() < b.sort_key()
 
     def test_reflexive(self):
         a = h([0, 1], [-1.0])
-        assert canonical_compare(a, a) == 0
+        assert a.sort_key() == a.sort_key()
 
     def test_total_order_properties(self):
         rng = random.Random(3)
@@ -75,10 +74,12 @@ class TestCanonicalOrder:
                 for _ in range(30)]
         for a in hyps:
             for b in hyps:
-                assert canonical_compare(a, b) == -canonical_compare(b, a)
+                ka, kb = a.sort_key(), b.sort_key()
+                assert (ka < kb) == (kb > ka)
+                assert (ka < kb) + (ka == kb) + (ka > kb) == 1
                 for c in hyps:
-                    if canonical_compare(a, b) <= 0 and canonical_compare(b, c) <= 0:
-                        assert canonical_compare(a, c) <= 0
+                    if ka <= kb <= c.sort_key():
+                        assert ka <= c.sort_key()
         once = canonical_sorted(hyps)
         again = canonical_sorted(list(reversed(hyps)))
         assert [x.sort_key() for x in once] == [x.sort_key() for x in again]

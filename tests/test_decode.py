@@ -114,6 +114,15 @@ class TestExhaustive:
         with pytest.raises(BudgetExceededError):
             exhaustive_decode(tiny3, inp, cfg("exhaustive", n_max=20))
 
+    def test_deeper_than_the_recursion_limit(self, inp):
+        # the first dive follows "a" down to max_len before any complete
+        # hypothesis bounds the search
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
+        r = exhaustive_decode(model, inp, cfg("exhaustive", n_max=1500, budget=2**1500))
+        assert strs(vocab, r.best) == ["<s>", "</s>"]
+        assert r.scorer_calls == 1500
+
     def test_pruned_equals_enumeration(self, inp):
         for seed in range(30):
             model = random_table_model(seed, 4, 4, allow_zero=(seed % 2 == 0))

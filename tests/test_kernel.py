@@ -2,12 +2,20 @@
 Hypothesis-based reference, logical calls against model calls, and
 rejection of positive log-probabilities."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, Hypothesis, Vocabulary, extend
-from seqdec.decode import beam_decode, eval_lookahead, lbs_decode, lhbs_decode
+from seqdec.decode import (
+    beam_decode,
+    eval_lookahead,
+    exhaustive_decode,
+    lbs_decode,
+    lhbs_decode,
+)
 from seqdec.scorers import CountingScorer
 
 from conftest import lbs_reference_decode, random_table_model, reference_eval_lookahead
@@ -188,3 +196,42 @@ def test_positive_row_rejected_inside_lbs_lookahead(d):
     with pytest.raises(ValueError, match="must be <= 0"):
         lbs_decode(PositiveRow(from_length=2), INP, config)
     assert beam_decode(PositiveRow(from_length=2), INP, raw("beam", 2, n_max=1))
+
+
+def _hyp(h):
+    return [list(h.tokens), h.cum_logprob.hex(), [lp.hex() for lp in h.step_logprobs],
+            h.complete]
+
+
+def _fields(result):
+    return [_hyp(result.best), [_hyp(h) for h in result.finished],
+            [_hyp(h) for h in result.final_beam], result.scorer_calls]
+
+
+def _trace(trace):
+    return [[[_hyp(h) for h in step["prev"]],
+             [[rec["slot"], [_hyp(h) for h in rec["pool"]], [_hyp(h) for h in rec["popped"]]]
+              for rec in step["slots"]]]
+            for step in trace]
+
+
+#: SHA-256 over the LHBS (raw and practical, k in 1, 2, 3, 5, with traces)
+#: and exhaustive outputs below, recorded before LHBS moved onto the
+#: ranked-entry kernel and exhaustive search onto an explicit stack.
+PINNED_LHBS_EXHAUSTIVE = "4d11a7d772e755577ca83817cb1ce202e9a8bbe2e0fd50bafbc4192faf83e39c"
+
+
+def test_lhbs_and_exhaustive_outputs_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        model = random_table_model(seed, 3 + seed % 3, 4, allow_zero=(seed % 4 == 0))
+        for mode in ("raw", "practical"):
+            for k in (1, 2, 3, 5):
+                trace = []
+                result = lhbs_decode(model, INP, DecodeConfig(
+                    beam_width=k, max_len=5, strategy="lhbs", mode=mode), trace=trace)
+                record = [seed, mode, k, _fields(result), _trace(trace)]
+                digest.update(json.dumps(record).encode())
+        result = exhaustive_decode(model, INP, DecodeConfig(max_len=5, strategy="exhaustive"))
+        digest.update(json.dumps([seed, _fields(result)]).encode())
+    assert digest.hexdigest() == PINNED_LHBS_EXHAUSTIVE

@@ -12,7 +12,7 @@ from conftest import one_hot_model, random_table_model
 class TestEnumerateAll:
     def test_tiny3_n2(self, tiny3, inp):
         enum = enumerate_all(tiny3, inp, 2)
-        assert enum.count == 3  # |V|^0 + |V|^1 with |V| = 2
+        assert len(enum.all_complete) == 3  # |V|^0 + |V|^1 with |V| = 2
         by_tokens = {tokens: math.exp(score) for tokens, score in enum.all_complete}
         assert by_tokens[(0, 3)] == pytest.approx(0.1)
         assert by_tokens[(0, 1, 3)] == pytest.approx(0.35)
@@ -20,7 +20,7 @@ class TestEnumerateAll:
 
     def test_n1_single_candidate(self, tiny3, inp):
         enum = enumerate_all(tiny3, inp, 1)
-        assert enum.count == 1
+        assert len(enum.all_complete) == 1
         assert enum.all_complete[0][0] == (0, 3)
 
     def test_count_formula(self, inp):
@@ -29,7 +29,7 @@ class TestEnumerateAll:
                 model = random_table_model(0, n_ext, n_max)
                 enum = enumerate_all(model, inp, n_max)
                 n_core = n_ext - 1
-                assert enum.count == sum(n_core ** (t - 1) for t in range(1, n_max + 1))
+                assert len(enum.all_complete) == sum(n_core ** (t - 1) for t in range(1, n_max + 1))
 
     def test_total_mass_identity(self, inp):
         for seed in range(20):

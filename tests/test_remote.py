@@ -142,3 +142,60 @@ class TestProtocolValidation:
             client.next_logprobs("", (0,))
         client.close()
         assert seen == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("reply,message", [
+        (lambda req: {"id": req["id"], "logprobs": {
+            "a": float("nan"), "b": 0.0, "</s>": float("-inf")}}, "sums to nan"),
+        (lambda req: {"id": req["id"], "logprobs": {"a": "low", "b": 0.0, "</s>": None}},
+         "malformed log-probability"),
+        (lambda req: [req["id"]], "not a JSON object"),
+    ])
+    def test_malformed_row_rejected(self, reply, message):
+        host, port = _one_shot_server(reply)
+        client = RemoteScorer(self.model.vocabulary, host, port)
+        with pytest.raises(ScorerTransportError, match=message):
+            client.next_logprobs("", (0,))
+        client.close()
+
+
+class TestServerErrorReplies:
+    """A request the server cannot answer gets an error reply, and the
+    connection keeps serving."""
+
+    def exchange(self, address, lines):
+        with socket.create_connection(address, timeout=5.0) as sock:
+            f = sock.makefile("rwb")
+            replies = []
+            for line in lines:
+                f.write(line + b"\n")
+                f.flush()
+                replies.append(json.loads(f.readline()))
+            return replies
+
+    def good(self, req_id):
+        return json.dumps({"id": req_id, "context": "", "prefix": ["<s>"]}).encode()
+
+    @pytest.mark.parametrize("line,req_id,message", [
+        (b"{not json", None, "JSONDecodeError"),
+        (b'{"id": 4, "context": "", "prefix": ["<s>", "zz"]}', 4, "unknown token 'zz'"),
+        (b'{"id": 5, "context": "", "prefix": ["a"]}', 5, "must begin with BOS"),
+        (b'{"id": 6, "context": ""}', 6, "prefix"),
+    ])
+    def test_error_reply_then_keeps_serving(self, served_tiny3, line, req_id, message):
+        model, address = served_tiny3
+        bad, good = self.exchange(address, [line, self.good(7)])
+        assert bad["id"] == req_id and "logprobs" not in bad
+        assert message in bad["error"]
+        assert good["id"] == 7
+        assert good["logprobs"] == {model.vocabulary.tokens[tid]: lp
+                                    for tid, lp in model.next_logprobs("", (0,)).items()}
+
+    def test_client_raises_the_server_message(self, served_tiny3):
+        model, (host, port) = served_tiny3
+        client = RemoteScorer(model.vocabulary, host, port)
+        try:
+            with pytest.raises(ScorerTransportError, match="server error: .*must begin with BOS"):
+                client.next_logprobs("", (1,))
+            assert client.next_logprobs("", (0,)) == model.next_logprobs("", (0,))
+        finally:
+            client.close()

@@ -1,9 +1,12 @@
 import json
 import math
+import sys
+import threading
 
 import pytest
 
-from seqdec.core import DecodeInput, Vocabulary
+from seqdec.core import DecodeConfig, DecodeInput, Vocabulary
+from seqdec.decode import decode
 from seqdec.scorers import (
     CountingScorer,
     NgramModel,
@@ -141,18 +144,27 @@ class TestCountingScorer:
             assert counted.next_logprobs("", (0,)) == tiny3.next_logprobs("", (0,))
         assert counted.calls == 5
 
-    def test_concurrent_counts(self, tiny3):
-        import threading
-
-        counted = CountingScorer(tiny3)
+    def test_concurrent_decodes_count_their_own_calls(self, tiny3):
+        # every decode builds its own wrapper, so decodes sharing one model
+        # across threads each report their own logical call count
+        config = DecodeConfig(beam_width=2, lookahead_depth=1, max_len=3,
+                              strategy="lbs", mode="raw")
+        want = decode(tiny3, DecodeInput("s"), config).scorer_calls
+        counts = []
 
         def worker():
-            for _ in range(200):
-                counted.next_logprobs("", (0, 1))
+            for _ in range(50):
+                counts.append(decode(tiny3, DecodeInput("s"), config).scorer_calls)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counted.calls == 1600
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counts == [want] * 400
