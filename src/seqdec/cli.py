@@ -187,11 +187,9 @@ def cmd_compare(args) -> int:
 def cmd_train(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as f:
-            corpus = f.readlines()
+            model = train_ngram(f, args.order, args.alpha)
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}") from exc
-    try:
-        model = train_ngram(corpus, args.order, args.alpha)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     text = json.dumps(model.to_json(), sort_keys=True)

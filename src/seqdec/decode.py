@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 import time
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from seqdec.core import (
     NEG_INF,
+    BudgetExceededError,
     DecodeConfig,
     DecodeInput,
     DecodeResult,
@@ -128,18 +130,28 @@ def _row(scorer: Scorer, context: str, tokens: tuple[int, ...]) -> list[float]:
 # canonical order without a Hypothesis being built.
 _Entry = tuple[float, tuple[int, ...], Hypothesis, Optional[float]]
 _canonical = itemgetter(0, 1)
+_score = itemgetter(0)
+_tokens = attrgetter("tokens")
 
 
 def _ranked(counted: CountingScorer, context: str,
             beam: Sequence[Hypothesis]) -> list[_Entry]:
     """Every candidate of one beam step, in canonical order.
 
+    Entries are generated parent by parent in token order, each parent's
+    children by token id, and then sorted on the score alone. The sort
+    is stable, so equal scores keep generation order, and generation
+    order is canonical (token) order: no beam member's tokens are a
+    proper prefix of another's, because a complete raw slot ends in EOS
+    and every other slot has the same length, so two parents first
+    differ at a position that both of their candidates keep.
+
     A complete beam slot (raw mode only) costs one logical call, but the
     model is not asked: its row would be discarded.
     """
     ext = counted.vocabulary.extension_ids
     entries: list[_Entry] = []
-    for h in beam:
+    for h in sorted(beam, key=_tokens):
         if h.complete:
             counted.charge()
             entries.append((-h.cum_logprob, h.tokens, h, None))
@@ -147,7 +159,7 @@ def _ranked(counted: CountingScorer, context: str,
         cum, tokens = h.cum_logprob, h.tokens
         entries += [(-(cum + lp), tokens + (tid,), h, lp)
                     for tid, lp in zip(ext, _row(counted, context, tokens))]
-    entries.sort(key=_canonical)
+    entries.sort(key=_score)
     return entries
 
 
@@ -239,17 +251,26 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     ranked by their plain cumulative score.
 
     Refuses when the extension-token count raised to the lookahead depth
-    exceeds the budget.
+    exceeds the budget, or when the lookahead, which recurses once per
+    level, would exceed the interpreter's recursion limit: at once when
+    ``d`` alone reaches the limit, otherwise when the search runs into it.
     """
     t0 = time.perf_counter()
     counted = CountingScorer(scorer)
     d = config.lookahead_depth
     check_budget(len(counted.vocabulary.extension_ids), d, config.budget)
+    limit = sys.getrecursionlimit()
+    too_deep = f"lookahead depth {d} exceeds the recursion limit {limit}"
+    if d >= limit:
+        raise BudgetExceededError(too_deep)
 
     def select(beam, n):
         return _lbs_select(counted, inp.context, beam, d, n)
 
-    return _search(counted, config, select, t0)
+    try:
+        return _search(counted, config, select, t0)
+    except RecursionError as exc:
+        raise BudgetExceededError(too_deep) from exc
 
 
 def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,

@@ -2,13 +2,18 @@
 
 Wire protocol: newline-delimited JSON over a reliable byte stream.
 Request:  {"id": uint, "context": str, "prefix": [token string, ...]}
-Response: {"id": uint, "logprobs": {token string: float, ...}} covering
-every extension token. Ids are echoed; the peer answers requests in
-order. Rows are validated for vocabulary coverage and normalization
-within 1e-6 (looser than the in-process 1e-9 to tolerate text
-round-trip rounding); a NaN fails the normalization test. A request the
-server cannot answer (bad JSON, an unknown token, a prefix without BOS)
-gets {"id": uint or null, "error": str}, and the connection stays open.
+Response: {"id": uint, "logprobs": {token string: float or null, ...}}
+covering every extension token; null is a zero-probability token
+(log-probability -inf), so every message is strict JSON, without
+NaN or Infinity. A client that predates null rejects it as malformed,
+and the protocol carries no version, so clients are upgraded before
+or with their servers. Ids are echoed; the peer answers requests in order.
+Rows are validated for vocabulary coverage and normalization within
+1e-6 (looser than the in-process 1e-9 to tolerate text round-trip
+rounding); a NaN fails the normalization test. A request the server
+cannot answer (bad JSON, a NaN or Infinity in it, an unknown token, a
+prefix without BOS, a row that is not finite or -inf) gets
+{"id": uint or null, "error": str}, and the connection stays open.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import socketserver
 import threading
 from typing import Sequence
 
-from seqdec.core import ScorerTransportError, Vocabulary
+from seqdec.core import NEG_INF, ScorerTransportError, Vocabulary
 from seqdec.scorers import Scorer
 
 
@@ -46,6 +51,7 @@ class RemoteScorer:
             pass
 
     def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
+        """The row as a new dict; a null log-probability reads as -inf."""
         vocab = self.vocabulary
         with self._lock:
             req_id = self._next_id
@@ -75,33 +81,50 @@ class RemoteScorer:
         if not isinstance(logprobs, dict):
             raise ScorerTransportError("response missing logprobs object")
         try:
-            row = {tid: float(logprobs[vocab.tokens[tid]]) for tid in vocab.extension_ids}
+            values = [logprobs[vocab.tokens[tid]] for tid in vocab.extension_ids]
+            row = {tid: NEG_INF if v is None else float(v)
+                   for tid, v in zip(vocab.extension_ids, values)}
         except KeyError as exc:
             raise ScorerTransportError(f"response missing token {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ScorerTransportError(f"malformed log-probability: {exc}") from exc
-        mass = sum(math.exp(lp) for lp in row.values() if lp != float("-inf"))
+        mass = sum(math.exp(lp) for lp in row.values() if lp != NEG_INF)
         if not abs(mass - 1.0) <= 1e-6:  # also rejects NaN
             raise ScorerTransportError(f"response row sums to {mass}, not 1")
         return row
 
 
-def _respond(scorer: Scorer, str_to_id: dict[str, int], line: bytes) -> dict:
-    """The response to one request line: its row, or an error naming what
-    was wrong with the request."""
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is out of range")
+    return value
+
+
+def _respond(scorer: Scorer, str_to_id: dict[str, int], line: bytes) -> bytes:
+    """The encoded response to one request line: its row, or an error
+    naming what was wrong with the request."""
     req_id = None
     try:
-        request = json.loads(line)
+        request = json.loads(line, parse_constant=_reject_constant,
+                             parse_float=_finite_float)
         req_id = request.get("id")
         unknown = [t for t in request["prefix"] if t not in str_to_id]
         if unknown:
             raise ValueError(f"unknown token {unknown[0]!r}")
         prefix = tuple(str_to_id[t] for t in request["prefix"])
         row = scorer.next_logprobs(request.get("context", ""), prefix)
+        tokens = scorer.vocabulary.tokens
+        logprobs = {tokens[tid]: None if lp == NEG_INF else lp for tid, lp in row.items()}
+        response = json.dumps({"id": req_id, "logprobs": logprobs}, allow_nan=False)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        return {"id": req_id, "error": f"{type(exc).__name__}: {exc}"}
-    tokens = scorer.vocabulary.tokens
-    return {"id": req_id, "logprobs": {tokens[tid]: lp for tid, lp in row.items()}}
+        response = json.dumps({"id": req_id, "error": f"{type(exc).__name__}: {exc}"},
+                              allow_nan=False)
+    return response.encode("utf-8") + b"\n"
 
 
 class _ScorerRequestHandler(socketserver.StreamRequestHandler):
@@ -111,8 +134,7 @@ class _ScorerRequestHandler(socketserver.StreamRequestHandler):
         for line in self.rfile:
             if not line.strip():
                 continue
-            response = _respond(scorer, str_to_id, line)
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
+            self.wfile.write(_respond(scorer, str_to_id, line))
             self.wfile.flush()
 
 

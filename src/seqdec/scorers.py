@@ -4,13 +4,18 @@ A scorer maps (context string, token-id prefix) to a row of natural-log
 probabilities over every extension token (vocabulary minus BOS, plus EOS).
 Rows must exponentiate and sum to 1 and be bit-identical across repeated
 calls with the same arguments.
+
+The in-process models compute each row once and return it as a
+read-only mapping shared between calls; a caller that wants to change
+a row copies it first.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Protocol, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from seqdec.core import NEG_INF, Vocabulary
 
@@ -18,7 +23,7 @@ from seqdec.core import NEG_INF, Vocabulary
 class Scorer(Protocol):
     vocabulary: Vocabulary
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
         ...
 
 
@@ -31,12 +36,12 @@ def _check_prefix(vocab: Vocabulary, prefix: Sequence[int]) -> None:
         raise ValueError("prefix must not contain an interior EOS")
 
 
-def _log_row(vocab: Vocabulary, probs: dict[str, float]) -> dict[int, float]:
+def _log_row(vocab: Vocabulary, probs: dict[str, float]) -> Mapping[int, float]:
     row = {}
     for tid in vocab.extension_ids:
         p = probs.get(vocab.tokens[tid], 0.0)
         row[tid] = math.log(p) if p > 0.0 else NEG_INF
-    return row
+    return MappingProxyType(row)
 
 
 def context_key(vocab: Vocabulary, prefix: Sequence[int]) -> str:
@@ -69,20 +74,20 @@ class TableModel(_JsonModel):
                  default_row: dict[str, float]):
         self.vocabulary = vocabulary
         for key, row in list(rows.items()) + [("<default>", default_row)]:
+            # written so that a NaN fails both tests
             total = sum(row.values())
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"row {key!r} sums to {total}, not 1")
-            if any(p < 0.0 or p > 1.0 for p in row.values()):
+            if not all(0.0 <= p <= 1.0 for p in row.values()):
                 raise ValueError(f"row {key!r} has probabilities outside [0, 1]")
         self.rows = rows
         self.default_row = default_row
         self._log_rows = {k: _log_row(vocabulary, r) for k, r in rows.items()}
         self._log_default = _log_row(vocabulary, default_row)
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
         _check_prefix(self.vocabulary, prefix)
-        row = self._log_rows.get(context_key(self.vocabulary, prefix), self._log_default)
-        return dict(row)
+        return self._log_rows.get(context_key(self.vocabulary, prefix), self._log_default)
 
     def to_json(self) -> dict:
         return {
@@ -104,11 +109,18 @@ class UniformModel:
         self.vocabulary = vocabulary
         n = len(vocabulary.extension_ids)
         lp = math.log(1.0 / n)
-        self._row = {tid: lp for tid in vocabulary.extension_ids}
+        self._row = MappingProxyType(dict.fromkeys(vocabulary.extension_ids, lp))
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
         _check_prefix(self.vocabulary, prefix)
-        return dict(self._row)
+        return self._row
+
+
+def _check_order_alpha(order: int, alpha: float) -> None:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if not 0.0 < alpha < math.inf:  # also rejects NaN
+        raise ValueError("alpha must be finite and > 0")
 
 
 class NgramModel(_JsonModel):
@@ -118,18 +130,38 @@ class NgramModel(_JsonModel):
     the generated prefix (BOS-padded on the left), truncated to the last
     order-1 tokens. Conditional probability is
     (count(ctx, y) + alpha) / (count(ctx, .) + alpha * |extension set|).
+
+    A count history's row is computed on its first call and kept, so
+    memory grows with the histories a decode visits, not with
+    histories x vocabulary; every unseen history shares one row, built
+    at construction. Within a row, every token the history never saw
+    shares one float object.
     """
 
     def __init__(self, vocabulary: Vocabulary, order: int, alpha: float,
                  counts: dict[str, dict[str, int]]):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if alpha <= 0.0:
-            raise ValueError("alpha must be > 0")
+        _check_order_alpha(order, alpha)
+        if not isinstance(counts, dict) or not all(
+                isinstance(c, dict) and all(type(n) is int and n >= 0 for n in c.values())
+                for c in counts.values()):
+            raise ValueError("counts must map each history to integer counts >= 0")
         self.vocabulary = vocabulary
         self.order = order
         self.alpha = alpha
         self.counts = counts
+        self._rows: dict[str, Mapping[int, float]] = {}
+        self._unseen = self._log_row({})
+
+    def _log_row(self, ctx_counts: dict[str, int]) -> Mapping[int, float]:
+        tokens = self.vocabulary.tokens
+        ext = self.vocabulary.extension_ids
+        total = sum(ctx_counts.values()) + self.alpha * len(ext)
+        unseen = math.log(self.alpha / total)
+        row = {}
+        for tid in ext:
+            c = ctx_counts.get(tokens[tid], 0)
+            row[tid] = math.log((c + self.alpha) / total) if c else unseen
+        return MappingProxyType(row)
 
     def _history_key(self, context: str, prefix: Sequence[int]) -> str:
         bos = self.vocabulary.tokens[self.vocabulary.bos_id]
@@ -137,16 +169,15 @@ class NgramModel(_JsonModel):
         window = ([bos] * (self.order - 1) + history)[-(self.order - 1):] if self.order > 1 else []
         return " ".join(window)
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
         _check_prefix(self.vocabulary, prefix)
         key = self._history_key(context, prefix)
-        ctx_counts = self.counts.get(key, {})
-        ext = self.vocabulary.extension_ids
-        total = sum(ctx_counts.values()) + self.alpha * len(ext)
-        row = {}
-        for tid in ext:
-            c = ctx_counts.get(self.vocabulary.tokens[tid], 0)
-            row[tid] = math.log((c + self.alpha) / total)
+        row = self._rows.get(key)
+        if row is None:
+            ctx_counts = self.counts.get(key)
+            if ctx_counts is None:
+                return self._unseen
+            row = self._rows[key] = self._log_row(ctx_counts)
         return row
 
     def to_json(self) -> dict:
@@ -163,33 +194,32 @@ class NgramModel(_JsonModel):
         return cls(vocab, obj["order"], obj["alpha"], obj["counts"])
 
 
-def train_ngram(corpus: Sequence[str], order: int, alpha: float,
+def train_ngram(corpus: Iterable[str], order: int, alpha: float,
                 bos: str = "<s>", eos: str = "</s>") -> NgramModel:
     """Count-based training over whitespace-tokenized lines.
 
-    Each line is BOS-padded on the left and EOS-appended. Deterministic:
-    identical corpus bytes yield identical models.
+    Each line is BOS-padded on the left and EOS-appended. The corpus is
+    read once, one line at a time, so it may be a file or a generator.
+    Deterministic: identical corpus bytes yield identical models.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
-    lines = [line.split() for line in corpus if line.strip()]
-    if not lines:
-        raise ValueError("empty corpus")
-    seen = sorted({tok for line in lines for tok in line})
-    if bos in seen or eos in seen:
-        raise ValueError("corpus must not contain the BOS/EOS markers")
-    vocab = Vocabulary.from_tokens([bos] + seen + [eos], bos=bos, eos=eos)
+    _check_order_alpha(order, alpha)
+    words: set[str] = set()
     counts: dict[str, dict[str, int]] = {}
-    for line in lines:
-        padded = [bos] * (order - 1) + line + [eos]
+    pad = [bos] * (order - 1)
+    for line in corpus:
+        tokens = line.split()
+        if not tokens:
+            continue
+        words.update(tokens)
+        padded = pad + tokens + [eos]
         for i in range(order - 1, len(padded)):
-            key = " ".join(padded[i - order + 1:i])
-            tok = padded[i]
-            counts.setdefault(key, {})
-            counts[key][tok] = counts[key].get(tok, 0) + 1
-    counts = {k: dict(sorted(v.items())) for k, v in sorted(counts.items())}
+            ctx_counts = counts.setdefault(" ".join(padded[i - order + 1:i]), {})
+            ctx_counts[padded[i]] = ctx_counts.get(padded[i], 0) + 1
+    if not words:
+        raise ValueError("empty corpus")
+    if bos in words or eos in words:
+        raise ValueError("corpus must not contain the BOS/EOS markers")
+    vocab = Vocabulary.from_tokens([bos] + sorted(words) + [eos], bos=bos, eos=eos)
     return NgramModel(vocab, order, alpha, counts)
 
 
@@ -205,7 +235,7 @@ class CountingScorer:
         self.vocabulary = inner.vocabulary
         self.calls = 0
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
         self.calls += 1
         return self.inner.next_logprobs(context, prefix)
 

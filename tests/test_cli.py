@@ -140,6 +140,26 @@ class TestTrainCommand:
                    "--output", str(tmp_path / "m.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, tmp_path, alpha):
+        corpus = tmp_path / "text.txt"
+        corpus.write_text("a b\n")
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", str(corpus), "--output", str(out), "--alpha", alpha])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_model_with_a_negative_count_rejected_on_load(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+                                     "counts": {"<s>": {"a": -1, "</s>": 3}}}))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "s1", "context": ""}\n')
+        rc = main(["decode", "--strategy", "beam", "--scorer", "ngram", "--model", str(model),
+                   "--input", str(corpus), "--output", str(tmp_path / "o.jsonl")])
+        assert rc == 2
+        assert "cannot load model" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_map_record(self, tiny3_files):
@@ -192,6 +212,20 @@ class TestLookaheadBudgetExit:
                    "--output", out])
         assert rc == 0
         assert read_jsonl(out)[0]["tokens"] == ["a", "</s>"]
+
+    def test_lookahead_deeper_than_the_recursion_limit_exits_4(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}).save(str(model))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "s1", "context": ""}\n')
+        out = tmp_path / "o.jsonl"
+        rc = main(["decode", "--strategy", "lbs", "--k", "1", "--d", "1100", "--max-len", "2",
+                   "--budget", str(2**1100), "--model", str(model), "--input", str(corpus),
+                   "--output", str(out)])
+        assert rc == 4
+        assert "recursion limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_is_gone(self, tiny3_files):
         tmp, model, corpus = tiny3_files

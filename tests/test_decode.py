@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -334,3 +335,63 @@ class TestLookaheadBudget:
     def test_huge_depth_refused_without_recursing(self, tiny3, inp):
         with pytest.raises(BudgetExceededError):
             lbs_decode(tiny3, inp, cfg("lbs", k=2, d=1200))
+
+    def test_depth_beyond_the_recursion_limit_refused(self, inp):
+        # the budget admits 2^1100 nodes, but the lookahead recurses once
+        # per level, so the depth is refused before any scorer call
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = CountingScorer(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}))
+        for mode in ("raw", "practical"):
+            with pytest.raises(BudgetExceededError, match="recursion limit"):
+                lbs_decode(model, inp, cfg("lbs", k=1, d=1100, n_max=2, mode=mode,
+                                           budget=2**1100))
+        assert model.calls == 0
+
+    def test_depth_just_under_the_recursion_limit_refused(self, inp):
+        # the frames below the lookahead count too
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
+        d = sys.getrecursionlimit() - 5
+        with pytest.raises(BudgetExceededError, match="recursion limit"):
+            lbs_decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, budget=2**d))
+
+    def test_scorer_needing_many_frames_is_refused_not_crashed(self, inp):
+        # the scorer's own frames are not known before the search runs
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        table = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
+
+        class Deep:
+            vocabulary = vocab
+
+            def next_logprobs(self, context, prefix, depth=sys.getrecursionlimit() - 300):
+                if depth:
+                    return self.next_logprobs(context, prefix, depth - 1)
+                return table.next_logprobs(context, prefix)
+
+        with pytest.raises(BudgetExceededError, match="recursion limit"):
+            lbs_decode(Deep(), inp, cfg("lbs", k=1, d=400, n_max=2, budget=2**400))
+
+    def test_depth_0_runs_deep_in_the_stack(self, inp):
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
+        limit = sys.getrecursionlimit()
+
+        def dive(n):
+            if n:
+                return dive(n - 1)
+            return lbs_decode(model, inp, cfg("lbs", k=1, d=0, n_max=2))
+
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        # 30 frames to spare: the search needs fewer, the old 50-frame slack more
+        r = dive(limit - depth - 30)
+        assert strs(vocab, r.best) == ["<s>", "a", "a"]
+
+    def test_depth_within_the_recursion_limit_runs(self, inp):
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
+        r = lbs_decode(model, inp, cfg("lbs", k=1, d=400, n_max=2, budget=2**400))
+        # the 400-level dive down "a" scores far below stopping at once
+        assert strs(vocab, r.best) == ["<s>", "</s>"]
+        assert r.scorer_calls > 400

@@ -1,14 +1,16 @@
 import json
+import math
 import socket
 import threading
 
 import pytest
 
-from seqdec.core import DecodeConfig, DecodeInput, ScorerTransportError
-from seqdec.decode import beam_decode
+from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, ScorerTransportError, Vocabulary
+from seqdec.decode import beam_decode, decode
 from seqdec.remote import RemoteScorer, ScorerServer
+from seqdec.scorers import TableModel
 
-from conftest import make_tiny3
+from conftest import make_tiny3, random_table_model
 
 
 @pytest.fixture
@@ -199,3 +201,101 @@ class TestServerErrorReplies:
             assert client.next_logprobs("", (0,)) == model.next_logprobs("", (0,))
         finally:
             client.close()
+
+
+def _strict_loads(data):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(data, parse_constant=reject)
+
+
+@pytest.fixture
+def serve():
+    """Starts a ScorerServer for a scorer; every one stops at teardown."""
+    servers = []
+
+    def start(scorer):
+        servers.append(ScorerServer(scorer).start())
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _exchange(address, line):
+    with socket.create_connection(address, timeout=5.0) as sock:
+        f = sock.makefile("rwb")
+        f.write(line + b"\n")
+        f.flush()
+        return f.readline()
+
+
+class TestStrictJson:
+    """Every message the server writes is strict JSON: a zero-probability
+    token is null, never -Infinity."""
+
+    VOCAB = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+
+    def test_zero_probability_is_null(self, serve):
+        model = TableModel(self.VOCAB, {}, {"a": 0.75, "b": 0.0, "</s>": 0.25})
+        reply = _exchange(serve(model).address, b'{"id": 3, "context": "", "prefix": ["<s>"]}')
+        assert b"Infinity" not in reply
+        assert _strict_loads(reply) == {
+            "id": 3, "logprobs": {"a": math.log(0.75), "b": None, "</s>": math.log(0.25)}}
+
+    def test_client_reads_null_as_minus_infinity(self):
+        def reply(req):
+            return {"id": req["id"], "logprobs": {"a": math.log(0.75), "b": None,
+                                                  "</s>": math.log(0.25)}}
+
+        host, port = _one_shot_server(reply)
+        client = RemoteScorer(self.VOCAB, host, port)
+        try:
+            assert client.next_logprobs("", (0,)) == {1: math.log(0.75), 2: NEG_INF,
+                                                      3: math.log(0.25)}
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("line", [
+        b'{"id": NaN, "context": "", "prefix": ["<s>"]}',
+        b'{"id": 1e400, "context": "", "prefix": ["<s>"]}',
+        b'{"id": 1, "context": "", "prefix": ["<s>"], "x": -Infinity}',
+    ])
+    def test_request_with_a_non_finite_number_gets_an_error(self, serve, line):
+        reply = _strict_loads(_exchange(serve(make_tiny3()).address, line))
+        assert reply["id"] is None and "logprobs" not in reply
+        assert reply["error"].startswith("ValueError")
+
+    def test_non_finite_row_gets_an_error_not_nan(self, serve):
+        class NanScorer:
+            vocabulary = self.VOCAB
+
+            def next_logprobs(self, context, prefix):
+                return {1: math.nan, 2: 0.0, 3: NEG_INF}
+
+        reply = _strict_loads(_exchange(serve(NanScorer()).address,
+                                        b'{"id": 2, "context": "", "prefix": ["<s>"]}'))
+        assert reply["id"] == 2 and reply["error"].startswith("ValueError")
+
+    def test_zero_probability_rows_decode_bit_identically(self, serve, inp):
+        configs = (DecodeConfig(beam_width=2, max_len=3, strategy="beam", mode="raw"),
+                   DecodeConfig(beam_width=3, lookahead_depth=2, max_len=4,
+                                strategy="lbs", mode="practical"))
+        server = serve(make_tiny3())
+        zero_rows = 0
+        for seed in range(12):
+            model = random_table_model(seed, 4, 3, allow_zero=True)
+            zero_rows += sum(0.0 in row.values() for row in model.rows.values())
+            server.scorer = model  # read by each new connection
+            client = RemoteScorer(model.vocabulary, *server.address)
+            try:
+                for config in configs:
+                    remote, local = decode(client, inp, config), decode(model, inp, config)
+                    assert (remote.best, remote.finished, remote.final_beam,
+                            remote.scorer_calls) == (local.best, local.finished,
+                                                     local.final_beam, local.scorer_calls)
+            finally:
+                client.close()
+        assert zero_rows > 0

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +170,95 @@ class TestCountingScorer:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert counts == [want] * 400
+
+
+class TestModelValidation:
+    """A model that would serve a bad row is refused when it is built."""
+
+    VOCAB = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+
+    @pytest.mark.parametrize("row", [
+        {"a": math.nan, "</s>": 0.5},
+        {"a": math.nan, "</s>": 1.0},
+        {"a": 1.5, "</s>": -0.5},
+    ])
+    def test_table_row_with_nan_or_out_of_range_probability(self, row):
+        with pytest.raises(ValueError):
+            TableModel(self.VOCAB, {"": row}, {"a": 0.5, "</s>": 0.5})
+        with pytest.raises(ValueError):
+            TableModel(self.VOCAB, {}, row)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            NgramModel(self.VOCAB, 2, alpha, {"<s>": {"a": 1}})
+        with pytest.raises(ValueError, match="alpha"):
+            train_ngram(["a"], order=2, alpha=alpha)
+
+    @pytest.mark.parametrize("count", [-1, 1.5, 2.0, "1", None])
+    def test_counts_must_be_integers_ge_0(self, count):
+        with pytest.raises(ValueError, match="count"):
+            NgramModel(self.VOCAB, 2, 0.5, {"<s>": {"a": 1, "</s>": count}})
+
+    @pytest.mark.parametrize("counts", [[], {"<s>": [1, 2]}, {"<s>": None}])
+    def test_counts_must_be_objects(self, counts):
+        with pytest.raises(ValueError, match="count"):
+            NgramModel(self.VOCAB, 2, 0.5, counts)
+
+    def test_zero_count_is_accepted(self):
+        model = NgramModel(self.VOCAB, 2, 0.5, {"<s>": {"a": 0, "</s>": 2}})
+        row = model.next_logprobs("", (0,))
+        assert row[1] == math.log(0.5 / 3.0)
+        assert row[2] == math.log(2.5 / 3.0)
+
+
+class TestLazyRows:
+    def test_construction_computes_no_row_per_history(self, monkeypatch):
+        # 2,000 words and 2,000 bigram histories: one row per history
+        # would be 4e6 entries
+        words = [f"w{i}" for i in range(2000)]
+        vocab = Vocabulary.from_tokens(["<s>"] + words + ["</s>"])
+        counts = {w: {words[(i + 1) % len(words)]: 1} for i, w in enumerate(words)}
+        rows_built = []
+        log_row = NgramModel._log_row
+        monkeypatch.setattr(NgramModel, "_log_row",
+                            lambda self, c: rows_built.append(c) or log_row(self, c))
+        model = NgramModel(vocab, 2, 0.5, counts)
+        assert rows_built == [{}]  # the shared unseen row only
+        w5 = vocab.tokens.index("w5")
+        row = model.next_logprobs("", (0, w5))
+        assert model.next_logprobs("w5", (0,)) is row
+        assert rows_built == [{}, {"w6": 1}]
+        assert model.next_logprobs("", (0,)) is model.next_logprobs("x", (0,))  # unseen
+        assert len(rows_built) == 2
+
+    def test_training_computes_no_row(self, monkeypatch):
+        rows_built = []
+        log_row = NgramModel._log_row
+        monkeypatch.setattr(NgramModel, "_log_row",
+                            lambda self, c: rows_built.append(c) or log_row(self, c))
+        train_ngram([f"w{i} w{i + 1}" for i in range(500)], 3, 0.5)
+        assert rows_built == [{}]
+
+
+class TestTrainedBytes:
+    # recorded before rows were kept between calls and training was streamed
+    DIGESTS = {
+        (2, 0.5): "5163894dfed161828783bcd9bd4c0e4dfbe9f39a8e566eb1f10297138161a649",
+        (2, 0.05): "2dc56886ac9a8e999abadf4b11c8c12dcd882b3812485cec327096d3b80ca16b",
+        (3, 0.5): "7c29a0aed43264e6238f24b697715bae1cf8dba713bd9ac5cb10f869a9d91639",
+        (3, 0.05): "b690749ca96b4a9639cc147c7fdddbd7aff98dbaff658aff1058d8b7a766404d",
+    }
+
+    @pytest.mark.parametrize("order,alpha", sorted(DIGESTS))
+    def test_saved_model_bytes_are_unchanged(self, tmp_path, order, alpha):
+        corpus = Path(__file__).parent / "data" / "corpus.txt"
+        with open(corpus, encoding="utf-8") as lines:  # streamed, not a list
+            model = train_ngram(lines, order, alpha)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[order, alpha]
+
+    def test_a_generator_corpus_trains_the_same_model(self):
+        lines = ["a b a", "", "b a b b"]
+        assert train_ngram(iter(lines), 3, 0.5).to_json() == train_ngram(lines, 3, 0.5).to_json()
