@@ -23,8 +23,9 @@ import math
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from seqdec.core import (
     NEG_INF,
@@ -115,10 +116,10 @@ def _search(counted: CountingScorer, config: DecodeConfig,
     return _result(best, finished, beam, counted.calls, t0)
 
 
-def _row(scorer: Scorer, context: str, tokens: tuple[int, ...]) -> list[float]:
-    """One scorer call; the row's log-probabilities in extension-id order."""
-    row = scorer.next_logprobs(context, tokens)
-    lps = list(map(row.__getitem__, scorer.vocabulary.extension_ids))
+def _checked(row: Mapping[int, float], ext: Sequence[int]) -> list[float]:
+    """The row's log-probabilities in extension-id order; a positive one
+    raises. Every row the search kernel reads passes through here."""
+    lps = list(map(row.__getitem__, ext))
     if max(lps) > 0.0:
         raise ValueError("extension log-probability must be <= 0")
     return lps
@@ -146,19 +147,24 @@ def _ranked(counted: CountingScorer, context: str,
     and every other slot has the same length, so two parents first
     differ at a position that both of their candidates keep.
 
-    A complete beam slot (raw mode only) costs one logical call, but the
-    model is not asked: its row would be discarded.
+    The incomplete parents' rows come from one batch call, so a remote
+    scorer answers the step in one round trip. A complete beam slot (raw
+    mode only) costs one logical call, but the model is not asked: its
+    row would be discarded.
     """
     ext = counted.vocabulary.extension_ids
+    beam = sorted(beam, key=_tokens)
+    prefixes = [h.tokens for h in beam if not h.complete]
+    rows = iter(counted.next_logprobs_batch(context, prefixes) if prefixes else ())
     entries: list[_Entry] = []
-    for h in sorted(beam, key=_tokens):
+    for h in beam:
         if h.complete:
             counted.charge()
             entries.append((-h.cum_logprob, h.tokens, h, None))
             continue
         cum, tokens = h.cum_logprob, h.tokens
         entries += [(-(cum + lp), tokens + (tid,), h, lp)
-                    for tid, lp in zip(ext, _row(counted, context, tokens))]
+                    for tid, lp in zip(ext, _checked(next(rows), ext))]
     entries.sort(key=_score)
     return entries
 
@@ -183,14 +189,14 @@ def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
 def _lookahead(scorer: Scorer, context: str, tokens: tuple[int, ...], cum: float,
                d: int, f_max: float) -> float:
     """eval_lookahead for an incomplete prefix and d >= 1, on floats."""
-    lps = _row(scorer, context, tokens)
+    ext = scorer.vocabulary.extension_ids
+    lps = _checked(scorer.next_logprobs(context, tokens), ext)
     if d == 1:
         # each child would only raise f_max to its own score, and the
         # best child's score is cum + max(lps) since addition is monotone
         return max(f_max, cum + max(lps))
     eos = scorer.vocabulary.eos_id
-    for neg, tid in sorted([(-(cum + lp), tid)
-                            for tid, lp in zip(scorer.vocabulary.extension_ids, lps)]):
+    for neg, tid in sorted([(-(cum + lp), tid) for tid, lp in zip(ext, lps)]):
         score = -neg
         if score < f_max:
             break
@@ -209,12 +215,31 @@ def eval_lookahead(scorer: Scorer, context: str, h: Hypothesis, d: int,
     Children are visited by score descending, then token id ascending;
     branches whose running score already falls below f_max are pruned,
     which is sound because scores never increase under extension.
+    Raises ``BudgetExceededError`` when the lookahead, which recurses once
+    per level, would exceed the interpreter's recursion limit.
     """
     if d < 0:
         raise ValueError("lookahead depth must be >= 0")
     if h.complete or d == 0:
         return max(h.cum_logprob, f_max)
-    return _lookahead(scorer, context, h.tokens, h.cum_logprob, d, f_max)
+    with _recursion_guard(d):
+        return _lookahead(scorer, context, h.tokens, h.cum_logprob, d, f_max)
+
+
+@contextmanager
+def _recursion_guard(d: int) -> Iterator[None]:
+    """Refuse a lookahead of depth ``d``, which recurses once per level,
+    with ``BudgetExceededError``: at once when ``d`` reaches the
+    interpreter's recursion limit, otherwise when the body runs into it.
+    """
+    limit = sys.getrecursionlimit()
+    too_deep = f"lookahead depth {d} exceeds the recursion limit {limit}"
+    if d >= limit:
+        raise BudgetExceededError(too_deep)
+    try:
+        yield
+    except RecursionError as exc:
+        raise BudgetExceededError(too_deep) from exc
 
 
 def _lbs_select(counted: CountingScorer, context: str, beam: list[Hypothesis],
@@ -259,18 +284,12 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     counted = CountingScorer(scorer)
     d = config.lookahead_depth
     check_budget(len(counted.vocabulary.extension_ids), d, config.budget)
-    limit = sys.getrecursionlimit()
-    too_deep = f"lookahead depth {d} exceeds the recursion limit {limit}"
-    if d >= limit:
-        raise BudgetExceededError(too_deep)
 
     def select(beam, n):
         return _lbs_select(counted, inp.context, beam, d, n)
 
-    try:
+    with _recursion_guard(d):
         return _search(counted, config, select, t0)
-    except RecursionError as exc:
-        raise BudgetExceededError(too_deep) from exc
 
 
 def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,

@@ -1,18 +1,36 @@
 """Remote scorer client and loopback server.
 
-Wire protocol: newline-delimited JSON over a reliable byte stream.
-Request:  {"id": uint, "context": str, "prefix": [token string, ...]}
-Response: {"id": uint, "logprobs": {token string: float or null, ...}}
-covering every extension token; null is a zero-probability token
-(log-probability -inf), so every message is strict JSON, without
-NaN or Infinity. A client that predates null rejects it as malformed,
-and the protocol carries no version, so clients are upgraded before
-or with their servers. Ids are echoed; the peer answers requests in order.
-Rows are validated for vocabulary coverage and normalization within
-1e-6 (looser than the in-process 1e-9 to tolerate text round-trip
-rounding); a NaN fails the normalization test. A request the server
-cannot answer (bad JSON, a NaN or Infinity in it, an unknown token, a
-prefix without BOS, a row that is not finite or -inf) gets
+Wire protocol v2: newline-delimited JSON over a reliable byte stream,
+one request per batch of prefixes, so a beam step costs one round trip.
+Request:  {"id": uint, "context": str, "prefixes": [[token string, ...], ...]}
+Response: {"id": uint, "rows": [[float or null, ...], ...]}
+with one row per prefix, in request order, each holding a value for
+every extension token in extension-id order (vocabulary order without
+BOS). null is a zero-probability token (log-probability -inf), so every
+message is strict JSON, without NaN or Infinity. Ids are echoed; the
+peer answers requests in order. The "prefixes" key marks v2, and there
+is no version field: a server from before v2 answers a v2 request with
+the error "KeyError: 'prefix'", which the client raises as
+ScorerTransportError.
+
+Rows are positional, so both ends must list the same extension tokens
+in the same order. Until it has read a reply with rows, the client adds
+"extension_tokens": [token string, ...] (its extension tokens in
+extension-id order) to each request; the server answers a request whose
+list differs from its own with an error reply, so a vocabulary that is
+permuted, or of the same size with other tokens, is a
+ScorerTransportError and not a silently wrong decode.
+
+The server still answers a v1 request, {"id", "context", "prefix":
+[token string, ...]}, with the v1 response {"id": uint, "logprobs":
+{token string: float or null, ...}}. The client speaks v2 only.
+
+The client validates every row: one value per extension token, each a
+JSON number or null, and normalization within 1e-6 (looser than the
+in-process 1e-9 to tolerate text round-trip rounding); a NaN fails the
+normalization test. A request the server cannot answer (bad JSON, a NaN
+or Infinity in it, an unknown token or a prefix without BOS anywhere in
+the batch, a row that is not finite or -inf) gets one reply,
 {"id": uint or null, "error": str}, and the connection stays open.
 """
 
@@ -29,8 +47,26 @@ from seqdec.core import NEG_INF, ScorerTransportError, Vocabulary
 from seqdec.scorers import Scorer
 
 
+def _logprob(value) -> float:
+    """A row value read from the wire: a JSON number (not a boolean) as a
+    float, null as -inf."""
+    if value is None:
+        return NEG_INF
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ScorerTransportError(f"malformed log-probability {value!r}")
+
+
 class RemoteScorer:
-    """Client over a connected byte stream speaking the wire protocol."""
+    """Client over a connected byte stream speaking the wire protocol.
+
+    ``round_trips`` counts the requests sent, one per batch.
+    """
 
     def __init__(self, vocabulary: Vocabulary, host: str, port: int,
                  timeout: float = 10.0):
@@ -42,6 +78,9 @@ class RemoteScorer:
         self._file = self._sock.makefile("rwb")
         self._next_id = 0
         self._lock = threading.Lock()
+        self.round_trips = 0
+        #: Sent with each request until the server has answered one with rows.
+        self._extension_tokens = vocabulary.to_strings(vocabulary.extension_ids)
 
     def close(self) -> None:
         try:
@@ -52,12 +91,20 @@ class RemoteScorer:
 
     def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
         """The row as a new dict; a null log-probability reads as -inf."""
-        vocab = self.vocabulary
+        return self.next_logprobs_batch(context, [prefix])[0]
+
+    def next_logprobs_batch(self, context: str,
+                            prefixes: Sequence[Sequence[int]]) -> list[dict[int, float]]:
+        """One row per prefix, from one round trip."""
+        tokens = self.vocabulary.tokens
         with self._lock:
             req_id = self._next_id
             self._next_id += 1
+            self.round_trips += 1
             request = {"id": req_id, "context": context,
-                       "prefix": [vocab.tokens[i] for i in prefix]}
+                       "prefixes": [[tokens[i] for i in p] for p in prefixes]}
+            if self._extension_tokens is not None:
+                request["extension_tokens"] = self._extension_tokens
             try:
                 self._file.write(json.dumps(request).encode("utf-8") + b"\n")
                 self._file.flush()
@@ -77,21 +124,26 @@ class RemoteScorer:
         if response.get("id") != req_id:
             raise ScorerTransportError(
                 f"response id {response.get('id')} does not match request {req_id}")
-        logprobs = response.get("logprobs")
-        if not isinstance(logprobs, dict):
-            raise ScorerTransportError("response missing logprobs object")
+        rows = response.get("rows")
+        if not isinstance(rows, list) or len(rows) != len(prefixes):
+            raise ScorerTransportError(
+                f"response must hold a list of {len(prefixes)} rows, one per prefix")
+        self._extension_tokens = None  # the server has checked them
+        return [self._row(values) for values in rows]
+
+    def _row(self, values) -> dict[int, float]:
+        ext = self.vocabulary.extension_ids
+        if not isinstance(values, list) or len(values) != len(ext):
+            raise ScorerTransportError(
+                f"response row must be a list of {len(ext)} values, one per extension token")
+        lps = [_logprob(v) for v in values]
         try:
-            values = [logprobs[vocab.tokens[tid]] for tid in vocab.extension_ids]
-            row = {tid: NEG_INF if v is None else float(v)
-                   for tid, v in zip(vocab.extension_ids, values)}
-        except KeyError as exc:
-            raise ScorerTransportError(f"response missing token {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ScorerTransportError(f"malformed log-probability: {exc}") from exc
-        mass = sum(math.exp(lp) for lp in row.values() if lp != NEG_INF)
+            mass = sum(map(math.exp, lps))
+        except OverflowError:  # a log-probability above about 709
+            mass = math.inf
         if not abs(mass - 1.0) <= 1e-6:  # also rejects NaN
             raise ScorerTransportError(f"response row sums to {mass}, not 1")
-        return row
+        return dict(zip(ext, lps))
 
 
 def _reject_constant(name: str):
@@ -105,22 +157,44 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _prefix(str_to_id: dict[str, int], prefix) -> tuple[int, ...]:
+    if not isinstance(prefix, list):
+        raise TypeError("a prefix must be a list of token strings")
+    unknown = [t for t in prefix if t not in str_to_id]
+    if unknown:
+        raise ValueError(f"unknown token {unknown[0]!r}")
+    return tuple(str_to_id[t] for t in prefix)
+
+
 def _respond(scorer: Scorer, str_to_id: dict[str, int], line: bytes) -> bytes:
-    """The encoded response to one request line: its row, or an error
-    naming what was wrong with the request."""
+    """The encoded response to one request line: its rows (v2) or row (v1),
+    or an error naming what was wrong with the request."""
     req_id = None
     try:
         request = json.loads(line, parse_constant=_reject_constant,
                              parse_float=_finite_float)
         req_id = request.get("id")
-        unknown = [t for t in request["prefix"] if t not in str_to_id]
-        if unknown:
-            raise ValueError(f"unknown token {unknown[0]!r}")
-        prefix = tuple(str_to_id[t] for t in request["prefix"])
-        row = scorer.next_logprobs(request.get("context", ""), prefix)
-        tokens = scorer.vocabulary.tokens
-        logprobs = {tokens[tid]: None if lp == NEG_INF else lp for tid, lp in row.items()}
-        response = json.dumps({"id": req_id, "logprobs": logprobs}, allow_nan=False)
+        context = request.get("context", "")
+        if "extension_tokens" in request:
+            vocabulary = scorer.vocabulary
+            if request["extension_tokens"] != vocabulary.to_strings(vocabulary.extension_ids):
+                raise ValueError("extension tokens differ from the server's")
+        if "prefixes" in request:
+            if not isinstance(request["prefixes"], list):
+                raise TypeError("prefixes must be a list of prefixes")
+            prefixes = [_prefix(str_to_id, p) for p in request["prefixes"]]
+            ext = scorer.vocabulary.extension_ids
+            rows = []
+            for prefix in prefixes:
+                row = scorer.next_logprobs(context, prefix)
+                rows.append([None if lp == NEG_INF else lp for lp in map(row.__getitem__, ext)])
+            body = {"id": req_id, "rows": rows}
+        else:
+            row = scorer.next_logprobs(context, _prefix(str_to_id, request["prefix"]))
+            tokens = scorer.vocabulary.tokens
+            body = {"id": req_id, "logprobs": {tokens[tid]: None if lp == NEG_INF else lp
+                                               for tid, lp in row.items()}}
+        response = json.dumps(body, allow_nan=False)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         response = json.dumps({"id": req_id, "error": f"{type(exc).__name__}: {exc}"},
                               allow_nan=False)

@@ -3,7 +3,9 @@
 A scorer maps (context string, token-id prefix) to a row of natural-log
 probabilities over every extension token (vocabulary minus BOS, plus EOS).
 Rows must exponentiate and sum to 1 and be bit-identical across repeated
-calls with the same arguments.
+calls with the same arguments. A scorer whose calls cost a round trip
+may also define ``next_logprobs_batch(context, prefixes)``, returning
+one row per prefix, in order, each equal to its ``next_logprobs`` row.
 
 The in-process models compute each row once and return it as a
 read-only mapping shared between calls; a caller that wants to change
@@ -21,6 +23,8 @@ from seqdec.core import NEG_INF, Vocabulary
 
 
 class Scorer(Protocol):
+    """``next_logprobs_batch`` is optional; see the module docstring."""
+
     vocabulary: Vocabulary
 
     def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
@@ -225,7 +229,8 @@ def train_ngram(corpus: Iterable[str], order: int, alpha: float,
 
 class CountingScorer:
     """Transparent wrapper counting logical scorer calls: every
-    next_logprobs invocation, plus every ``charge()``.
+    next_logprobs invocation, one per prefix of every
+    ``next_logprobs_batch`` invocation, plus every ``charge()``.
 
     Each decode builds its own wrapper, so ``calls`` is that decode's count.
     """
@@ -234,10 +239,23 @@ class CountingScorer:
         self.inner = inner
         self.vocabulary = inner.vocabulary
         self.calls = 0
+        self._inner_batch = getattr(inner, "next_logprobs_batch", None)
 
     def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
         self.calls += 1
         return self.inner.next_logprobs(context, prefix)
+
+    def next_logprobs_batch(self, context: str,
+                            prefixes: Sequence[Sequence[int]]) -> list[Mapping[int, float]]:
+        """One row per prefix, from one call of the wrapped scorer's batch
+        method if it has one, else from one ``next_logprobs`` call each."""
+        self.calls += len(prefixes)
+        if self._inner_batch is None:
+            return [self.inner.next_logprobs(context, p) for p in prefixes]
+        rows = self._inner_batch(context, prefixes)
+        if len(rows) != len(prefixes):
+            raise ValueError(f"batch returned {len(rows)} rows for {len(prefixes)} prefixes")
+        return rows
 
     def charge(self) -> None:
         """Count one call without asking the wrapped scorer, for a row the

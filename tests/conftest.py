@@ -56,6 +56,25 @@ def random_table_model(seed: int, n_ext: int, depth: int,
     return TableModel(vocab, rows, row())
 
 
+class BatchRecorder:
+    """A model's rows with a batch method, recording each batch and
+    counting each single call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocabulary = model.vocabulary
+        self.batches = []
+        self.singles = 0
+
+    def next_logprobs(self, context, prefix):
+        self.singles += 1
+        return self.model.next_logprobs(context, prefix)
+
+    def next_logprobs_batch(self, context, prefixes):
+        self.batches.append(list(prefixes))
+        return [self.model.next_logprobs(context, p) for p in prefixes]
+
+
 def one_hot_model(token: str = "a") -> TableModel:
     """Deterministic scorer always emitting `token` with probability 1."""
     vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])

@@ -298,15 +298,17 @@ def test_criterion_9_wire_protocol_conformance():
         try:
             corpus = [DecodeInput(f"s{i}", "") for i in range(3)]
             for inp in corpus:
-                for strategy, fn in (("beam", beam_decode), ("lhbs", lhbs_decode)):
+                for strategy, fn, d in (("beam", beam_decode, 0), ("lbs", lbs_decode, 1),
+                                        ("lbs", lbs_decode, 2), ("lhbs", lhbs_decode, 0)):
                     for mode in ("raw", "practical"):
-                        cfg = DecodeConfig(beam_width=2, max_len=3,
+                        cfg = DecodeConfig(beam_width=2, lookahead_depth=d, max_len=3,
                                            strategy=strategy, mode=mode)
                         local = fn(model, inp, cfg)
                         remote = fn(client, inp, cfg)
                         assert remote.best == local.best
                         assert remote.final_beam == local.final_beam
                         assert remote.finished == local.finished
+                        assert remote.scorer_calls == local.scorer_calls
         finally:
             client.close()
     finally:

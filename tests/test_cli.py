@@ -253,6 +253,25 @@ def test_server_error_reply_exits_3(tiny3_files, capsys):
     assert not os.path.exists(tmp / "o.jsonl")
 
 
+def test_permuted_vocabulary_file_exits_3(tiny3_files, capsys):
+    tmp, model, corpus = tiny3_files
+    # the server lists the client's tokens in another order, so its
+    # positional rows would be read against the wrong tokens
+    vocab = Vocabulary.from_tokens(["<s>", "b", "a", "</s>"])
+    server = ScorerServer(TableModel(vocab, {}, {"a": 0.5, "b": 0.25, "</s>": 0.25})).start()
+    try:
+        host, port = server.address
+        rc = main(["decode", "--strategy", "beam", "--scorer", "remote", "--model", model,
+                   "--endpoint", f"{host}:{port}", "--input", corpus,
+                   "--output", str(tmp / "o.jsonl")])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert rc == 3
+    assert "extension tokens differ from the server's" in capsys.readouterr().err
+    assert not os.path.exists(tmp / "o.jsonl")
+
+
 @pytest.fixture
 def served(tmp_path, monkeypatch):
     """A loopback ScorerServer for tiny3 and the RemoteScorer clients the

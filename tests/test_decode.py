@@ -388,6 +388,17 @@ class TestLookaheadBudget:
         r = dive(limit - depth - 30)
         assert strs(vocab, r.best) == ["<s>", "a", "a"]
 
+    def test_eval_lookahead_beyond_the_recursion_limit_refused(self, inp):
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = CountingScorer(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}))
+        root = Hypothesis.initial(vocab)
+        with pytest.raises(BudgetExceededError, match="recursion limit"):
+            eval_lookahead(model, inp.context, root, 5000)
+        assert model.calls == 0
+        # refused while searching: the frames below the lookahead count too
+        with pytest.raises(BudgetExceededError, match="recursion limit"):
+            eval_lookahead(model, inp.context, root, sys.getrecursionlimit() - 5)
+
     def test_depth_within_the_recursion_limit_runs(self, inp):
         vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})

@@ -10,7 +10,7 @@ from seqdec.decode import beam_decode, decode
 from seqdec.remote import RemoteScorer, ScorerServer
 from seqdec.scorers import TableModel
 
-from conftest import make_tiny3, random_table_model
+from conftest import BatchRecorder, make_tiny3, random_table_model
 
 
 @pytest.fixture
@@ -71,17 +71,29 @@ def _one_shot_server(reply_fn):
     return sock.getsockname()
 
 
+def _rows(model, request):
+    """The v2 rows a correct server sends for ``request``."""
+    tokens = model.vocabulary.tokens
+    rows = []
+    for prefix in request["prefixes"]:
+        row = model.next_logprobs(request["context"], tuple(map(tokens.index, prefix)))
+        rows.append([None if row[tid] == NEG_INF else row[tid]
+                     for tid in model.vocabulary.extension_ids])
+    return rows
+
+
 class TestProtocolValidation:
     def setup_method(self):
         self.model = make_tiny3()
 
     def test_missing_token_rejected(self):
+        """A short row, one value missing, is rejected."""
         def reply(req):
-            return {"id": req["id"], "logprobs": {"a": -1.0, "</s>": -1.0}}
+            return {"id": req["id"], "rows": [[-1.0, -1.0]]}
 
         host, port = _one_shot_server(reply)
         client = RemoteScorer(self.model.vocabulary, host, port)
-        with pytest.raises(ScorerTransportError, match="missing token"):
+        with pytest.raises(ScorerTransportError, match="list of 3 values"):
             client.next_logprobs("", (0,))
         client.close()
 
@@ -90,7 +102,7 @@ class TestProtocolValidation:
 
         def reply(req):
             lp = math.log(0.8 / 3)
-            return {"id": req["id"], "logprobs": {"a": lp, "b": lp, "</s>": lp}}
+            return {"id": req["id"], "rows": [[lp, lp, lp]]}
 
         host, port = _one_shot_server(reply)
         client = RemoteScorer(self.model.vocabulary, host, port)
@@ -103,11 +115,54 @@ class TestProtocolValidation:
 
         def reply(req):
             lp = math.log(1 / 3)
-            return {"id": req["id"] + 7, "logprobs": {"a": lp, "b": lp, "</s>": lp}}
+            return {"id": req["id"] + 7, "rows": [[lp, lp, lp]]}
 
         host, port = _one_shot_server(reply)
         client = RemoteScorer(self.model.vocabulary, host, port)
         with pytest.raises(ScorerTransportError, match="id"):
+            client.next_logprobs("", (0,))
+        client.close()
+
+    def test_overflowing_value_rejected(self):
+        host, port = _one_shot_server(lambda req: {"id": req["id"], "rows": [[1000.0, None, None]]})
+        client = RemoteScorer(self.model.vocabulary, host, port)
+        with pytest.raises(ScorerTransportError, match="sums to inf"):
+            client.next_logprobs("", (0,))
+        client.close()
+
+    @pytest.mark.parametrize("value", ["-0.10536051565782628", True],
+                             ids=["string", "boolean"])
+    def test_non_number_value_rejected(self, value):
+        def reply(req):
+            return {"id": req["id"], "rows": [[value, math.log(0.1), None]]}
+
+        host, port = _one_shot_server(reply)
+        client = RemoteScorer(self.model.vocabulary, host, port)
+        with pytest.raises(ScorerTransportError, match="malformed log-probability"):
+            client.next_logprobs("", (0,))
+        client.close()
+
+    @pytest.mark.parametrize("rows", [[], [[0.0, None, None]] * 2, {"0": [0.0, None, None]}],
+                             ids=["none", "two", "object"])
+    def test_one_row_per_prefix_required(self, rows):
+        host, port = _one_shot_server(lambda req: {"id": req["id"], "rows": rows})
+        client = RemoteScorer(self.model.vocabulary, host, port)
+        with pytest.raises(ScorerTransportError, match="list of 1 rows"):
+            client.next_logprobs("", (0,))
+        client.close()
+
+    def test_server_without_v2_is_a_transport_error(self):
+        # a server from before v2 reads request["prefix"] and answers with
+        # its error reply
+        def reply(req):
+            try:
+                return {"id": req["id"], "prefix": req["prefix"]}
+            except KeyError as exc:
+                return {"id": req["id"], "error": f"KeyError: {exc}"}
+
+        host, port = _one_shot_server(reply)
+        client = RemoteScorer(self.model.vocabulary, host, port)
+        with pytest.raises(ScorerTransportError, match="server error: KeyError: 'prefix'"):
             client.next_logprobs("", (0,))
         client.close()
 
@@ -132,11 +187,7 @@ class TestProtocolValidation:
 
         def reply(req):
             seen.append(req["id"])
-            row = self.model.next_logprobs("", tuple(
-                self.model.vocabulary.tokens.index(t) for t in req["prefix"]))
-            return {"id": req["id"],
-                    "logprobs": {self.model.vocabulary.tokens[tid]: lp
-                                 for tid, lp in row.items()}}
+            return {"id": req["id"], "rows": _rows(self.model, req)}
 
         host, port = _one_shot_server(reply)
         client = RemoteScorer(self.model.vocabulary, host, port)
@@ -146,9 +197,9 @@ class TestProtocolValidation:
         assert seen == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("reply,message", [
-        (lambda req: {"id": req["id"], "logprobs": {
-            "a": float("nan"), "b": 0.0, "</s>": float("-inf")}}, "sums to nan"),
-        (lambda req: {"id": req["id"], "logprobs": {"a": "low", "b": 0.0, "</s>": None}},
+        (lambda req: {"id": req["id"], "rows": [[float("nan"), 0.0, float("-inf")]]},
+         "sums to nan"),
+        (lambda req: {"id": req["id"], "rows": [["low", 0.0, None]]},
          "malformed log-probability"),
         (lambda req: [req["id"]], "not a JSON object"),
     ])
@@ -247,8 +298,7 @@ class TestStrictJson:
 
     def test_client_reads_null_as_minus_infinity(self):
         def reply(req):
-            return {"id": req["id"], "logprobs": {"a": math.log(0.75), "b": None,
-                                                  "</s>": math.log(0.25)}}
+            return {"id": req["id"], "rows": [[math.log(0.75), None, math.log(0.25)]]}
 
         host, port = _one_shot_server(reply)
         client = RemoteScorer(self.VOCAB, host, port)
@@ -280,9 +330,11 @@ class TestStrictJson:
         assert reply["id"] == 2 and reply["error"].startswith("ValueError")
 
     def test_zero_probability_rows_decode_bit_identically(self, serve, inp):
-        configs = (DecodeConfig(beam_width=2, max_len=3, strategy="beam", mode="raw"),
-                   DecodeConfig(beam_width=3, lookahead_depth=2, max_len=4,
-                                strategy="lbs", mode="practical"))
+        configs = [DecodeConfig(beam_width=k, lookahead_depth=d, max_len=4,
+                                strategy=strategy, mode=mode)
+                   for strategy, k, d in (("beam", 3, 0), ("lbs", 2, 1), ("lbs", 3, 2),
+                                          ("lhbs", 3, 0))
+                   for mode in ("raw", "practical")]
         server = serve(make_tiny3())
         zero_rows = 0
         for seed in range(12):
@@ -299,3 +351,142 @@ class TestStrictJson:
             finally:
                 client.close()
         assert zero_rows > 0
+
+
+class TestBatchedWire:
+    """Protocol v2: one request per batch of prefixes."""
+
+    def test_one_round_trip_per_beam_step_with_an_incomplete_parent(self, serve, inp):
+        # tiny3, raw beam k=2 over 5 steps: the beams before the steps are
+        # [<s>], [a, b], [a </s>, b a] and then [a </s>, b a </s>] twice,
+        # so 3 steps send a request and 1+2+2+2+2 calls count
+        model = make_tiny3()
+        client = RemoteScorer(model.vocabulary, *serve(model).address)
+        try:
+            r = beam_decode(client, inp, DecodeConfig(beam_width=2, max_len=5,
+                                                      strategy="beam", mode="raw"))
+            assert (client.round_trips, r.scorer_calls) == (3, 9)
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("config", [
+        DecodeConfig(beam_width=8, max_len=6, strategy="beam", mode="practical"),
+        DecodeConfig(beam_width=3, max_len=5, strategy="beam", mode="raw"),
+        DecodeConfig(beam_width=3, max_len=5, strategy="lbs", mode="raw"),
+        DecodeConfig(beam_width=3, lookahead_depth=1, max_len=5, strategy="lbs", mode="raw"),
+    ], ids=["beam-practical", "beam-raw", "lbs-d0-raw", "lbs-d1-raw"])
+    def test_round_trips_and_logical_calls(self, serve, inp, config):
+        server = serve(make_tiny3())
+        for seed in range(6):
+            model = random_table_model(seed, 5, 4, allow_zero=True)
+            server.scorer = model
+            client = RemoteScorer(model.vocabulary, *server.address)
+            try:
+                remote = decode(client, inp, config)
+            finally:
+                client.close()
+            batched = BatchRecorder(model)
+            local = decode(batched, inp, config)
+            assert remote.scorer_calls == local.scorer_calls == decode(model, inp, config).scorer_calls
+            # one batch per step, the step's incomplete parents in token order
+            assert [len(b[0]) for b in batched.batches] == list(range(1, len(batched.batches) + 1))
+            assert all(b == sorted(b) for b in batched.batches)
+            # single calls are lookahead calls only
+            assert (batched.singles > 0) == (config.lookahead_depth > 0)
+            assert client.round_trips == len(batched.batches) + batched.singles
+            # a raw step sends nothing only once every slot is complete
+            assert (len(batched.batches) == config.max_len or config.mode == "practical"
+                    or all(h.complete for h in local.final_beam))
+
+    def test_rows_in_extension_id_order_with_null(self, serve):
+        vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+        model = TableModel(vocab, {"a": {"a": 0.5, "b": 0.5, "</s>": 0.0}},
+                           {"a": 0.75, "b": 0.0, "</s>": 0.25})
+        line = b'{"id": 9, "context": "", "prefixes": [["<s>"], ["<s>", "a"]]}'
+        reply = _exchange(serve(model).address, line)
+        assert b"Infinity" not in reply
+        assert _strict_loads(reply) == {
+            "id": 9, "rows": [[math.log(0.75), None, math.log(0.25)],
+                              [math.log(0.5), math.log(0.5), None]]}
+
+    @pytest.mark.parametrize("prefixes,message", [
+        ([["<s>"], ["<s>", "zz"], ["<s>", "a"]], "ValueError: unknown token 'zz'"),
+        ([["<s>"], ["a"]], "must begin with BOS"),
+        ("<s>", "TypeError: prefixes must be a list"),
+        ([["<s>"], "<s>"], "TypeError: a prefix must be a list"),
+    ])
+    def test_bad_batch_gets_one_error_then_v2_and_v1_are_served(self, served_tiny3,
+                                                                 prefixes, message):
+        model, address = served_tiny3
+        tokens = model.vocabulary.tokens
+        bad = json.dumps({"id": 1, "context": "", "prefixes": prefixes}).encode()
+        good_v2 = json.dumps({"id": 2, "context": "", "prefixes": [["<s>"], ["<s>", "b"]]})
+        good_v1 = json.dumps({"id": 3, "context": "", "prefix": ["<s>", "a"]})
+        with socket.create_connection(address, timeout=5.0) as sock:
+            f = sock.makefile("rwb")
+            replies = []
+            for line in (bad, good_v2.encode(), good_v1.encode()):
+                f.write(line + b"\n")
+                f.flush()
+                replies.append(json.loads(f.readline()))
+        error, v2, v1 = replies
+        assert error["id"] == 1 and message in error["error"] and "rows" not in error
+        assert v2 == {"id": 2, "rows": _rows(model, {"context": "",
+                                                     "prefixes": [["<s>"], ["<s>", "b"]]})}
+        assert v1 == {"id": 3, "logprobs": {tokens[tid]: lp for tid, lp in
+                                            model.next_logprobs("", (0, 1)).items()}}
+
+
+class TestVocabularyCheck:
+    """Rows are positional, so the server refuses a client whose extension
+    tokens differ from its own, in set or in order."""
+
+    @pytest.mark.parametrize("tokens", [["<s>", "b", "a", "</s>"], ["<s>", "a", "c", "</s>"]],
+                             ids=["permuted", "other-token"])
+    def test_mismatched_vocabulary_is_a_transport_error(self, served_tiny3, inp, tokens):
+        _, address = served_tiny3
+        client = RemoteScorer(Vocabulary.from_tokens(tokens), *address)
+        try:
+            with pytest.raises(ScorerTransportError, match="extension tokens differ"):
+                client.next_logprobs("", (0,))
+            # nothing was accepted, so the next request is checked again
+            with pytest.raises(ScorerTransportError, match="extension tokens differ"):
+                decode(client, inp, DecodeConfig(beam_width=2, max_len=3, strategy="beam"))
+        finally:
+            client.close()
+
+    def test_client_sends_its_extension_tokens_until_a_row_arrives(self):
+        model = make_tiny3()
+        sent = []
+
+        def reply(req):
+            sent.append(req.get("extension_tokens"))
+            if len(sent) == 1:
+                return {"id": req["id"], "error": "ValueError: not ready"}
+            return {"id": req["id"], "rows": _rows(model, req)}
+
+        host, port = _one_shot_server(reply)
+        client = RemoteScorer(model.vocabulary, host, port)
+        with pytest.raises(ScorerTransportError, match="not ready"):
+            client.next_logprobs("", (0,))
+        client.next_logprobs("", (0,))
+        client.next_logprobs_batch("", [(0, 1), (0, 2)])
+        client.close()
+        assert sent == [["a", "b", "</s>"], ["a", "b", "</s>"], None]
+
+    def test_server_refuses_other_extension_tokens_and_stays_open(self, served_tiny3):
+        model, address = served_tiny3
+        requests = [{"id": 1, "context": "", "prefixes": [["<s>"]],
+                     "extension_tokens": ["b", "a", "</s>"]},
+                    {"id": 2, "context": "", "prefixes": [["<s>"]],
+                     "extension_tokens": ["a", "b", "</s>"]}]
+        with socket.create_connection(address, timeout=5.0) as sock:
+            f = sock.makefile("rwb")
+            replies = []
+            for request in requests:
+                f.write(json.dumps(request).encode() + b"\n")
+                f.flush()
+                replies.append(json.loads(f.readline()))
+        assert replies == [
+            {"id": 1, "error": "ValueError: extension tokens differ from the server's"},
+            {"id": 2, "rows": _rows(model, requests[1])}]

@@ -17,7 +17,7 @@ from seqdec.scorers import (
     train_ngram,
 )
 
-from conftest import make_tiny3, random_table_model
+from conftest import BatchRecorder, make_tiny3, random_table_model
 
 
 def row_mass(row):
@@ -170,6 +170,37 @@ class TestCountingScorer:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert counts == [want] * 400
+
+
+class TestBatchCounting:
+    """``next_logprobs_batch`` counts one logical call per prefix."""
+
+    PREFIXES = [(0,), (0, 1), (0, 2), (0, 1, 2)]
+
+    def test_without_a_batch_method_loops_over_next_logprobs(self, tiny3):
+        counted = CountingScorer(tiny3)
+        rows = counted.next_logprobs_batch("", self.PREFIXES)
+        assert rows == [tiny3.next_logprobs("", p) for p in self.PREFIXES]
+        assert counted.calls == 4
+        assert counted.next_logprobs_batch("", []) == [] and counted.calls == 4
+
+    def test_a_batch_method_is_called_once_per_batch(self, tiny3):
+        recorder = BatchRecorder(tiny3)
+        counted = CountingScorer(recorder)
+        rows = counted.next_logprobs_batch("", self.PREFIXES)
+        assert rows == [tiny3.next_logprobs("", p) for p in self.PREFIXES]
+        assert recorder.batches == [self.PREFIXES] and recorder.singles == 0
+        assert counted.calls == 4
+
+    def test_a_batch_with_the_wrong_row_count_raises(self, tiny3):
+        class Short:
+            vocabulary = tiny3.vocabulary
+
+            def next_logprobs_batch(self, context, prefixes):
+                return [tiny3.next_logprobs(context, p) for p in prefixes[1:]]
+
+        with pytest.raises(ValueError, match="3 rows for 4 prefixes"):
+            CountingScorer(Short()).next_logprobs_batch("", self.PREFIXES)
 
 
 class TestModelValidation:
