@@ -6,8 +6,10 @@ Zero probability is represented by ``float('-inf')``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 NEG_INF = float("-inf")
 
@@ -53,6 +55,9 @@ class Vocabulary:
     extension_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     #: Extension ids excluding EOS.
     core_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: A row's values at the extension ids, as a tuple.
+    extension_values: Callable[[Sequence[float]], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bos_id == self.eos_id:
@@ -67,6 +72,11 @@ class Vocabulary:
         ext = tuple(i for i in range(n) if i != self.bos_id)
         object.__setattr__(self, "extension_ids", ext)
         object.__setattr__(self, "core_ids", tuple(i for i in ext if i != self.eos_id))
+        # one slice when BOS is the first or the last id; between them, it
+        # leaves two extension ids or more, so itemgetter returns a tuple
+        values = (itemgetter(slice(1, None)) if self.bos_id == 0 else
+                  itemgetter(slice(None, -1)) if self.bos_id == n - 1 else itemgetter(*ext))
+        object.__setattr__(self, "extension_values", values)
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str], bos: str = "<s>", eos: str = "</s>") -> "Vocabulary":
@@ -75,6 +85,37 @@ class Vocabulary:
 
     def to_strings(self, ids: Sequence[int]) -> list[str]:
         return [self.tokens[i] for i in ids]
+
+
+class Row(tuple):
+    """A validated next-token row: log-probabilities indexed by token id
+    over the whole vocabulary, -inf in the BOS slot. A tuple is read-only,
+    so a row is shared between calls and read as it is. ``keys()``,
+    ``values()`` and ``items()`` run over the extension ids, so
+    ``dict(row)`` is ``{extension id: log-probability}``.
+    """
+
+    @classmethod
+    def of(cls, vocab: Vocabulary, lps: Iterable[float]) -> Row:
+        """The row of ``lps``, given in extension-id order; a positive or
+        NaN value raises ``ValueError``. Every row is made here."""
+        values = list(lps)
+        # sum() is NaN when any value is, which max() can miss
+        if max(values) > 0.0 or math.isnan(sum(values)):
+            raise ValueError("extension log-probabilities must be <= 0 and not NaN")
+        values.insert(vocab.bos_id, NEG_INF)
+        row = tuple.__new__(cls, values)
+        row.vocabulary = vocab
+        return row
+
+    def keys(self) -> tuple[int, ...]:
+        return self.vocabulary.extension_ids
+
+    def values(self) -> tuple[float, ...]:
+        return self.vocabulary.extension_values(self)
+
+    def items(self):
+        return zip(self.keys(), self.values())
 
 
 @dataclass(frozen=True)

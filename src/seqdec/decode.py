@@ -25,7 +25,7 @@ import sys
 import time
 from contextlib import contextmanager
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from seqdec.core import (
     NEG_INF,
@@ -116,15 +116,6 @@ def _search(counted: CountingScorer, config: DecodeConfig,
     return _result(best, finished, beam, counted.calls, t0)
 
 
-def _checked(row: Mapping[int, float], ext: Sequence[int]) -> list[float]:
-    """The row's log-probabilities in extension-id order; a positive one
-    raises. Every row the search kernel reads passes through here."""
-    lps = list(map(row.__getitem__, ext))
-    if max(lps) > 0.0:
-        raise ValueError("extension log-probability must be <= 0")
-    return lps
-
-
 # A ranked candidate is (-score, tokens, parent, logprob): the child of
 # ``parent`` by ``tokens[-1]``, or, with logprob None, a complete parent
 # carried forward as its own sole child. The first two fields give the
@@ -150,9 +141,10 @@ def _ranked(counted: CountingScorer, context: str,
     The incomplete parents' rows come from one batch call, so a remote
     scorer answers the step in one round trip. A complete beam slot (raw
     mode only) costs one logical call, but the model is not asked: its
-    row would be discarded.
+    row would be discarded. Rows are read as they are, unchecked: every
+    ``Row`` was validated where it was made.
     """
-    ext = counted.vocabulary.extension_ids
+    ext, values = counted.vocabulary.extension_ids, counted.vocabulary.extension_values
     beam = sorted(beam, key=_tokens)
     prefixes = [h.tokens for h in beam if not h.complete]
     rows = iter(counted.next_logprobs_batch(context, prefixes) if prefixes else ())
@@ -164,7 +156,7 @@ def _ranked(counted: CountingScorer, context: str,
             continue
         cum, tokens = h.cum_logprob, h.tokens
         entries += [(-(cum + lp), tokens + (tid,), h, lp)
-                    for tid, lp in zip(ext, _checked(next(rows), ext))]
+                    for tid, lp in zip(ext, values(next(rows)))]
     entries.sort(key=_score)
     return entries
 
@@ -186,22 +178,25 @@ def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
     return _search(counted, config, select, t0)
 
 
-def _lookahead(scorer: Scorer, context: str, tokens: tuple[int, ...], cum: float,
+def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], cum: float,
                d: int, f_max: float) -> float:
-    """eval_lookahead for an incomplete prefix and d >= 1, on floats."""
-    ext = scorer.vocabulary.extension_ids
-    lps = _checked(scorer.next_logprobs(context, tokens), ext)
+    """eval_lookahead for an incomplete prefix and d >= 1, on floats and
+    validated rows read as they are."""
+    row = counted.next_logprobs(context, tokens)
     if d == 1:
-        # each child would only raise f_max to its own score, and the
-        # best child's score is cum + max(lps) since addition is monotone
-        return max(f_max, cum + max(lps))
-    eos = scorer.vocabulary.eos_id
-    for neg, tid in sorted([(-(cum + lp), tid) for tid, lp in zip(ext, lps)]):
+        # each child would only raise f_max to its own score, and the best
+        # child's score is cum + max(row) since addition is monotone (the
+        # BOS slot's -inf never wins)
+        return max(f_max, cum + max(row))
+    vocab = counted.vocabulary
+    eos = vocab.eos_id
+    for neg, tid in sorted([(-(cum + lp), tid) for tid, lp in
+                            zip(vocab.extension_ids, vocab.extension_values(row))]):
         score = -neg
         if score < f_max:
             break
         if tid != eos:
-            score = _lookahead(scorer, context, tokens + (tid,), score, d - 1, f_max)
+            score = _lookahead(counted, context, tokens + (tid,), score, d - 1, f_max)
         f_max = max(f_max, score)
     return f_max
 
@@ -223,7 +218,7 @@ def eval_lookahead(scorer: Scorer, context: str, h: Hypothesis, d: int,
     if h.complete or d == 0:
         return max(h.cum_logprob, f_max)
     with _recursion_guard(d):
-        return _lookahead(scorer, context, h.tokens, h.cum_logprob, d, f_max)
+        return _lookahead(CountingScorer(scorer), context, h.tokens, h.cum_logprob, d, f_max)
 
 
 @contextmanager
@@ -340,33 +335,40 @@ def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) ->
     """Exact MAP search by depth-first enumeration with score pruning.
 
     Children are visited in token-id order from an explicit stack, so
-    ``max_len`` is not limited by Python's recursion depth. Any prefix
-    whose score is already strictly below the best complete score found
-    so far is discarded; the result is identical to full enumeration.
-    Intended for desk-scale instances only: refuses when the
-    extension-token count raised to max_len exceeds the budget.
+    ``max_len`` is not limited by Python's recursion depth, and the path
+    is kept once, so memory grows linearly with it. Any prefix whose
+    score is already strictly below the best complete score found so far
+    is discarded; the result is identical to full enumeration. Intended
+    for desk-scale instances only: refuses when the extension-token
+    count raised to max_len exceeds the budget.
     """
     t0 = time.perf_counter()
     counted = CountingScorer(scorer)
     vocab = counted.vocabulary
     check_budget(len(vocab.extension_ids), config.max_len, config.budget)
+    tokens, steps, cums = [vocab.bos_id], [], [0.0]
 
-    def children(h: Hypothesis) -> Iterator[Hypothesis]:
-        row = counted.next_logprobs(inp.context, h.tokens)
-        return (extend(h, tid, row[tid], vocab.eos_id) for tid in vocab.extension_ids)
+    def children() -> Iterator[tuple[int, float]]:
+        row = counted.next_logprobs(inp.context, tuple(tokens))
+        return zip(vocab.extension_ids, vocab.extension_values(row))
 
     best: Optional[Hypothesis] = None
-    stack = [children(Hypothesis.initial(vocab))]
+    stack = [children()]
     while stack:
         child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        elif child.complete:
-            if best is None or child.sort_key() < best.sort_key():
-                best = child
-        elif child.length < config.max_len and (
-                best is None or not child.cum_logprob < best.cum_logprob):
-            stack.append(children(child))
+        if child is None:  # leave the level; the root level has no step
+            del stack[-1], tokens[-1], cums[-1], steps[-1:]
+            continue
+        tid, lp = child
+        cum = cums[-1] + lp
+        if tid == vocab.eos_id:
+            if best is None or (-cum, (*tokens, tid)) < best.sort_key():
+                best = Hypothesis((*tokens, tid), cum, (*steps, lp), True)
+        elif len(tokens) < config.max_len and (best is None or not cum < best.cum_logprob):
+            tokens.append(tid)
+            steps.append(lp)
+            cums.append(cum)
+            stack.append(children())
     assert best is not None  # [BOS, EOS] is always reachable
     return _result(best, (best,), (best,), counted.calls, t0)
 

@@ -8,10 +8,9 @@ with one row per prefix, in request order, each holding a value for
 every extension token in extension-id order (vocabulary order without
 BOS). null is a zero-probability token (log-probability -inf), so every
 message is strict JSON, without NaN or Infinity. Ids are echoed; the
-peer answers requests in order. The "prefixes" key marks v2, and there
-is no version field: a server from before v2 answers a v2 request with
-the error "KeyError: 'prefix'", which the client raises as
-ScorerTransportError.
+peer answers requests in order. There is no version field: a server from
+before v2 answers a v2 request with the error "KeyError: 'prefix'", which
+the client raises as ScorerTransportError.
 
 Rows are positional, so both ends must list the same extension tokens
 in the same order. Until it has read a reply with rows, the client adds
@@ -21,17 +20,14 @@ list differs from its own with an error reply, so a vocabulary that is
 permuted, or of the same size with other tokens, is a
 ScorerTransportError and not a silently wrong decode.
 
-The server still answers a v1 request, {"id", "context", "prefix":
-[token string, ...]}, with the v1 response {"id": uint, "logprobs":
-{token string: float or null, ...}}. The client speaks v2 only.
-
-The client validates every row: one value per extension token, each a
-JSON number or null, and normalization within 1e-6 (looser than the
-in-process 1e-9 to tolerate text round-trip rounding); a NaN fails the
-normalization test. A request the server cannot answer (bad JSON, a NaN
-or Infinity in it, an unknown token or a prefix without BOS anywhere in
-the batch, a row that is not finite or -inf) gets one reply,
-{"id": uint or null, "error": str}, and the connection stays open.
+The client checks every row on receipt and returns it as a ``Row``: one
+JSON number or null per extension token, normalization within 1e-6
+(looser than the in-process 1e-9 to tolerate text round-trip rounding;
+a NaN fails it) and no positive value. A request the server cannot
+answer (bad JSON, a NaN or Infinity in it, no "prefixes" list, an
+unknown token or a prefix without BOS anywhere in the batch, a scorer
+row that ``CountingScorer`` refuses) gets one reply, {"id": uint or
+null, "error": str}, and the connection stays open.
 """
 
 from __future__ import annotations
@@ -43,23 +39,12 @@ import socketserver
 import threading
 from typing import Sequence
 
-from seqdec.core import NEG_INF, ScorerTransportError, Vocabulary
-from seqdec.scorers import Scorer
+from seqdec.core import NEG_INF, Row, ScorerTransportError, Vocabulary
+from seqdec.scorers import CountingScorer, Scorer
 
 
-def _logprob(value) -> float:
-    """A row value read from the wire: a JSON number (not a boolean) as a
-    float, null as -inf."""
-    if value is None:
-        return NEG_INF
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ScorerTransportError(f"malformed log-probability {value!r}")
+#: Reads a response line with every JSON number as a float.
+_read_response = json.JSONDecoder(parse_int=float).decode
 
 
 class RemoteScorer:
@@ -89,12 +74,12 @@ class RemoteScorer:
         except OSError:
             pass
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> dict[int, float]:
-        """The row as a new dict; a null log-probability reads as -inf."""
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
+        """The row; a null log-probability reads as -inf."""
         return self.next_logprobs_batch(context, [prefix])[0]
 
     def next_logprobs_batch(self, context: str,
-                            prefixes: Sequence[Sequence[int]]) -> list[dict[int, float]]:
+                            prefixes: Sequence[Sequence[int]]) -> list[Row]:
         """One row per prefix, from one round trip."""
         tokens = self.vocabulary.tokens
         with self._lock:
@@ -114,8 +99,8 @@ class RemoteScorer:
         if not line:
             raise ScorerTransportError("peer closed the connection")
         try:
-            response = json.loads(line)
-        except json.JSONDecodeError as exc:
+            response = _read_response(line.decode("utf-8"))
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ScorerTransportError(f"malformed response: {exc}") from exc
         if not isinstance(response, dict):
             raise ScorerTransportError("malformed response: not a JSON object")
@@ -131,19 +116,25 @@ class RemoteScorer:
         self._extension_tokens = None  # the server has checked them
         return [self._row(values) for values in rows]
 
-    def _row(self, values) -> dict[int, float]:
-        ext = self.vocabulary.extension_ids
-        if not isinstance(values, list) or len(values) != len(ext):
+    def _row(self, values) -> Row:
+        n_ext = len(self.vocabulary.extension_ids)
+        if not isinstance(values, list) or len(values) != n_ext:
             raise ScorerTransportError(
-                f"response row must be a list of {len(ext)} values, one per extension token")
-        lps = [_logprob(v) for v in values]
+                f"response row must be a list of {n_ext} values, one per extension token")
+        lps = [NEG_INF if v is None else v for v in values]
+        malformed = [v for v in lps if type(v) is not float]  # not a JSON number
+        if malformed:
+            raise ScorerTransportError(f"malformed log-probability {malformed[0]!r}")
         try:
             mass = sum(map(math.exp, lps))
         except OverflowError:  # a log-probability above about 709
             mass = math.inf
         if not abs(mass - 1.0) <= 1e-6:  # also rejects NaN
             raise ScorerTransportError(f"response row sums to {mass}, not 1")
-        return dict(zip(ext, lps))
+        try:
+            return Row.of(self.vocabulary, lps)
+        except ValueError as exc:  # a positive value within the mass tolerance
+            raise ScorerTransportError(f"response row: {exc}") from exc
 
 
 def _reject_constant(name: str):
@@ -166,9 +157,9 @@ def _prefix(str_to_id: dict[str, int], prefix) -> tuple[int, ...]:
     return tuple(str_to_id[t] for t in prefix)
 
 
-def _respond(scorer: Scorer, str_to_id: dict[str, int], line: bytes) -> bytes:
-    """The encoded response to one request line: its rows (v2) or row (v1),
-    or an error naming what was wrong with the request."""
+def _respond(counted: CountingScorer, str_to_id: dict[str, int], line: bytes) -> bytes:
+    """The encoded response to one request line: its rows, or an error
+    naming what was wrong with the request."""
     req_id = None
     try:
         request = json.loads(line, parse_constant=_reject_constant,
@@ -176,25 +167,15 @@ def _respond(scorer: Scorer, str_to_id: dict[str, int], line: bytes) -> bytes:
         req_id = request.get("id")
         context = request.get("context", "")
         if "extension_tokens" in request:
-            vocabulary = scorer.vocabulary
+            vocabulary = counted.vocabulary
             if request["extension_tokens"] != vocabulary.to_strings(vocabulary.extension_ids):
                 raise ValueError("extension tokens differ from the server's")
-        if "prefixes" in request:
-            if not isinstance(request["prefixes"], list):
-                raise TypeError("prefixes must be a list of prefixes")
-            prefixes = [_prefix(str_to_id, p) for p in request["prefixes"]]
-            ext = scorer.vocabulary.extension_ids
-            rows = []
-            for prefix in prefixes:
-                row = scorer.next_logprobs(context, prefix)
-                rows.append([None if lp == NEG_INF else lp for lp in map(row.__getitem__, ext)])
-            body = {"id": req_id, "rows": rows}
-        else:
-            row = scorer.next_logprobs(context, _prefix(str_to_id, request["prefix"]))
-            tokens = scorer.vocabulary.tokens
-            body = {"id": req_id, "logprobs": {tokens[tid]: None if lp == NEG_INF else lp
-                                               for tid, lp in row.items()}}
-        response = json.dumps(body, allow_nan=False)
+        if not isinstance(request["prefixes"], list):
+            raise TypeError("prefixes must be a list of prefixes")
+        prefixes = [_prefix(str_to_id, p) for p in request["prefixes"]]
+        rows = [[None if lp == NEG_INF else lp for lp in row.values()]
+                for row in counted.next_logprobs_batch(context, prefixes)]
+        response = json.dumps({"id": req_id, "rows": rows}, allow_nan=False)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         response = json.dumps({"id": req_id, "error": f"{type(exc).__name__}: {exc}"},
                               allow_nan=False)
@@ -203,12 +184,12 @@ def _respond(scorer: Scorer, str_to_id: dict[str, int], line: bytes) -> bytes:
 
 class _ScorerRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        scorer: Scorer = self.server.scorer  # type: ignore[attr-defined]
-        str_to_id = {tok: i for i, tok in enumerate(scorer.vocabulary.tokens)}
+        counted = CountingScorer(self.server.scorer)  # type: ignore[attr-defined]
+        str_to_id = {tok: i for i, tok in enumerate(counted.vocabulary.tokens)}
         for line in self.rfile:
             if not line.strip():
                 continue
-            self.wfile.write(_respond(scorer, str_to_id, line))
+            self.wfile.write(_respond(counted, str_to_id, line))
             self.wfile.flush()
 
 
@@ -227,6 +208,7 @@ class ScorerServer(socketserver.ThreadingTCPServer):
         return self.server_address[0], self.server_address[1]
 
     def start(self) -> "ScorerServer":
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # serve_forever sees shutdown() only between polls: poll every 20 ms, not 0.5 s
+        thread = threading.Thread(target=self.serve_forever, args=(0.02,), daemon=True)
         thread.start()
         return self

@@ -7,19 +7,19 @@ calls with the same arguments. A scorer whose calls cost a round trip
 may also define ``next_logprobs_batch(context, prefixes)``, returning
 one row per prefix, in order, each equal to its ``next_logprobs`` row.
 
-The in-process models compute each row once and return it as a
-read-only mapping shared between calls; a caller that wants to change
-a row copies it first.
+The in-process models build each row once, as a ``Row`` checked where
+it is made, and share it between calls. Any other scorer may return a
+mapping from extension id to log-probability; ``CountingScorer``, which
+every decoder reads rows through, checks it into a ``Row``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from types import MappingProxyType
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from seqdec.core import NEG_INF, Vocabulary
+from seqdec.core import NEG_INF, Row, Vocabulary
 
 
 class Scorer(Protocol):
@@ -27,7 +27,7 @@ class Scorer(Protocol):
 
     vocabulary: Vocabulary
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float] | Row:
         ...
 
 
@@ -40,12 +40,9 @@ def _check_prefix(vocab: Vocabulary, prefix: Sequence[int]) -> None:
         raise ValueError("prefix must not contain an interior EOS")
 
 
-def _log_row(vocab: Vocabulary, probs: dict[str, float]) -> Mapping[int, float]:
-    row = {}
-    for tid in vocab.extension_ids:
-        p = probs.get(vocab.tokens[tid], 0.0)
-        row[tid] = math.log(p) if p > 0.0 else NEG_INF
-    return MappingProxyType(row)
+def _log_row(vocab: Vocabulary, probs: dict[str, float]) -> Row:
+    ps = [probs.get(vocab.tokens[tid], 0.0) for tid in vocab.extension_ids]
+    return Row.of(vocab, [math.log(p) if p > 0.0 else NEG_INF for p in ps])
 
 
 def context_key(vocab: Vocabulary, prefix: Sequence[int]) -> str:
@@ -89,7 +86,7 @@ class TableModel(_JsonModel):
         self._log_rows = {k: _log_row(vocabulary, r) for k, r in rows.items()}
         self._log_default = _log_row(vocabulary, default_row)
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
         _check_prefix(self.vocabulary, prefix)
         return self._log_rows.get(context_key(self.vocabulary, prefix), self._log_default)
 
@@ -112,10 +109,9 @@ class UniformModel:
     def __init__(self, vocabulary: Vocabulary):
         self.vocabulary = vocabulary
         n = len(vocabulary.extension_ids)
-        lp = math.log(1.0 / n)
-        self._row = MappingProxyType(dict.fromkeys(vocabulary.extension_ids, lp))
+        self._row = Row.of(vocabulary, [math.log(1.0 / n)] * n)
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
         _check_prefix(self.vocabulary, prefix)
         return self._row
 
@@ -135,11 +131,11 @@ class NgramModel(_JsonModel):
     order-1 tokens. Conditional probability is
     (count(ctx, y) + alpha) / (count(ctx, .) + alpha * |extension set|).
 
-    A count history's row is computed on its first call and kept, so
-    memory grows with the histories a decode visits, not with
-    histories x vocabulary; every unseen history shares one row, built
-    at construction. Within a row, every token the history never saw
-    shares one float object.
+    A count history's row is computed on its first call and kept, keyed
+    on the history's token ids, so memory grows with the count histories
+    a decode visits, not with histories x vocabulary; every unseen
+    history shares one row, built at construction. Within a row, every
+    token the history never saw shares one float object.
     """
 
     def __init__(self, vocabulary: Vocabulary, order: int, alpha: float,
@@ -153,32 +149,38 @@ class NgramModel(_JsonModel):
         self.order = order
         self.alpha = alpha
         self.counts = counts
-        self._rows: dict[str, Mapping[int, float]] = {}
+        self._ids = {tok: i for i, tok in enumerate(vocabulary.tokens)}
+        self._rows: dict[tuple[int | str, ...], Row] = {}
         self._unseen = self._log_row({})
 
-    def _log_row(self, ctx_counts: dict[str, int]) -> Mapping[int, float]:
+    def _log_row(self, ctx_counts: dict[str, int]) -> Row:
         tokens = self.vocabulary.tokens
         ext = self.vocabulary.extension_ids
         total = sum(ctx_counts.values()) + self.alpha * len(ext)
         unseen = math.log(self.alpha / total)
-        row = {}
-        for tid in ext:
-            c = ctx_counts.get(tokens[tid], 0)
-            row[tid] = math.log((c + self.alpha) / total) if c else unseen
-        return MappingProxyType(row)
+        cs = (ctx_counts.get(tokens[tid], 0) for tid in ext)
+        return Row.of(self.vocabulary, [math.log((c + self.alpha) / total) if c else unseen
+                                        for c in cs])
 
-    def _history_key(self, context: str, prefix: Sequence[int]) -> str:
-        bos = self.vocabulary.tokens[self.vocabulary.bos_id]
-        history = context.split() + [self.vocabulary.tokens[i] for i in prefix[1:]]
-        window = ([bos] * (self.order - 1) + history)[-(self.order - 1):] if self.order > 1 else []
-        return " ".join(window)
+    def _history(self, context: str, prefix: Sequence[int]) -> tuple[int | str, ...]:
+        """The last order-1 tokens of the BOS-padded history (context
+        words, then the prefix after BOS) as token ids; a context word
+        outside the vocabulary stays a string."""
+        n = self.order - 1
+        need = n - (len(prefix) - 1)  # tokens the prefix cannot supply
+        if need <= 0:
+            return tuple(prefix[len(prefix) - n:])
+        words = context.split()[-need:]
+        return ((self.vocabulary.bos_id,) * (need - len(words))
+                + tuple(self._ids.get(w, w) for w in words) + tuple(prefix[1:]))
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
         _check_prefix(self.vocabulary, prefix)
-        key = self._history_key(context, prefix)
+        key = self._history(context, prefix)
         row = self._rows.get(key)
         if row is None:
-            ctx_counts = self.counts.get(key)
+            tokens = self.vocabulary.tokens
+            ctx_counts = self.counts.get(" ".join(t if type(t) is str else tokens[t] for t in key))
             if ctx_counts is None:
                 return self._unseen
             row = self._rows[key] = self._log_row(ctx_counts)
@@ -232,7 +234,9 @@ class CountingScorer:
     next_logprobs invocation, one per prefix of every
     ``next_logprobs_batch`` invocation, plus every ``charge()``.
 
-    Each decode builds its own wrapper, so ``calls`` is that decode's count.
+    It is also the gate for rows: a ``Row`` passes as it is, any other row
+    is checked into one by ``Row.of``. Each decode builds its own
+    wrapper, so ``calls`` is that decode's count.
     """
 
     def __init__(self, inner: Scorer):
@@ -241,21 +245,26 @@ class CountingScorer:
         self.calls = 0
         self._inner_batch = getattr(inner, "next_logprobs_batch", None)
 
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Mapping[int, float]:
+    def _row(self, row: Mapping[int, float]) -> Row:
+        return Row.of(self.vocabulary, map(row.__getitem__, self.vocabulary.extension_ids))
+
+    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
         self.calls += 1
-        return self.inner.next_logprobs(context, prefix)
+        row = self.inner.next_logprobs(context, prefix)
+        return row if type(row) is Row else self._row(row)
 
     def next_logprobs_batch(self, context: str,
-                            prefixes: Sequence[Sequence[int]]) -> list[Mapping[int, float]]:
+                            prefixes: Sequence[Sequence[int]]) -> list[Row]:
         """One row per prefix, from one call of the wrapped scorer's batch
         method if it has one, else from one ``next_logprobs`` call each."""
         self.calls += len(prefixes)
         if self._inner_batch is None:
-            return [self.inner.next_logprobs(context, p) for p in prefixes]
-        rows = self._inner_batch(context, prefixes)
-        if len(rows) != len(prefixes):
-            raise ValueError(f"batch returned {len(rows)} rows for {len(prefixes)} prefixes")
-        return rows
+            rows = [self.inner.next_logprobs(context, p) for p in prefixes]
+        else:
+            rows = self._inner_batch(context, prefixes)
+            if len(rows) != len(prefixes):
+                raise ValueError(f"batch returned {len(rows)} rows for {len(prefixes)} prefixes")
+        return [row if type(row) is Row else self._row(row) for row in rows]
 
     def charge(self) -> None:
         """Count one call without asking the wrapped scorer, for a row the

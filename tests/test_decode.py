@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -123,6 +124,21 @@ class TestExhaustive:
         r = exhaustive_decode(model, inp, cfg("exhaustive", n_max=1500, budget=2**1500))
         assert strs(vocab, r.best) == ["<s>", "</s>"]
         assert r.scorer_calls == 1500
+
+    def test_memory_is_linear_in_max_len(self, inp):
+        # the first dive reaches 2,000 levels; a full Hypothesis per level
+        # would hold about 2,000^2 / 2 tokens and step log-probabilities
+        # (a 34 MB peak); the path held once traces under 1 MB
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
+        tracemalloc.start()
+        try:
+            r = exhaustive_decode(model, inp, cfg("exhaustive", n_max=2000, budget=2**2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert strs(vocab, r.best) == ["<s>", "</s>"] and r.scorer_calls == 2000
+        assert peak < 4_000_000
 
     def test_pruned_equals_enumeration(self, inp):
         for seed in range(30):

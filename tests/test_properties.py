@@ -10,17 +10,35 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from seqdec.core import Hypothesis, Vocabulary  # noqa: E402
-from seqdec.decode import _hypothesis, _ranked  # noqa: E402
+from seqdec.core import NEG_INF, Hypothesis, Vocabulary, extend  # noqa: E402
+from seqdec.decode import _hypothesis, _ranked, eval_lookahead  # noqa: E402
 from seqdec.scorers import CountingScorer, NgramModel, TableModel, UniformModel  # noqa: E402
+
+from conftest import reference_eval_lookahead  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 WORDS = ["a", "b", "c", "d"]
 
 
-def vocabulary(n_words: int) -> Vocabulary:
-    return Vocabulary.from_tokens(["<s>"] + WORDS[:n_words] + ["</s>"])
+@st.composite
+def vocabularies(draw):
+    """One to three words, with BOS and EOS anywhere in the token order."""
+    n_words = draw(st.integers(1, 3))
+    return Vocabulary.from_tokens(draw(st.permutations(["<s>"] + WORDS[:n_words] + ["</s>"])))
+
+
+def words_of(vocab: Vocabulary) -> list[str]:
+    return [vocab.tokens[i] for i in vocab.core_ids]
+
+
+def assert_row_is(row, want: dict, vocab: Vocabulary) -> None:
+    """``row`` spans the vocabulary, holds ``want`` bit for bit at every
+    extension id and -inf at BOS, and ``dict(row)`` is ``want``."""
+    ext = vocab.extension_ids
+    assert len(row) == len(vocab.tokens) and row[vocab.bos_id] == NEG_INF
+    assert [row[tid].hex() for tid in ext] == [want[tid].hex() for tid in ext]
+    assert list(dict(row).items()) == list(want.items())
 
 
 # ------------------------------------------------------------ n-gram rows
@@ -43,22 +61,20 @@ def reference_ngram_row(model: NgramModel, context: str, prefix) -> dict:
 
 @st.composite
 def ngram_cases(draw):
-    n_words = draw(st.integers(1, 3))
-    vocab = vocabulary(n_words)
+    vocab = draw(vocabularies())
     order = draw(st.integers(1, 4))
     alpha = draw(st.floats(min_value=1e-6, max_value=100.0))
-    words = WORDS[:n_words]
+    words = words_of(vocab)
     history = st.lists(st.sampled_from(["<s>"] + words), min_size=order - 1,
                        max_size=order - 1).map(" ".join)
     counts = draw(st.dictionaries(history, st.dictionaries(
         st.sampled_from(words + ["</s>"]), st.integers(0, 40)), max_size=8))
     model = NgramModel(vocab, order, alpha, counts)
-    ids = list(range(1, n_words + 1))
     queries = draw(st.lists(st.tuples(
         st.lists(st.sampled_from(words + ["x"]), max_size=3).map(" ".join),
-        st.lists(st.sampled_from(ids), max_size=4),
+        st.lists(st.sampled_from(vocab.core_ids), max_size=4),
         st.booleans()), min_size=1, max_size=6))
-    return model, [(context, (0, *tail) + ((vocab.eos_id,) if eos else ()))
+    return model, [(context, (vocab.bos_id, *tail) + ((vocab.eos_id,) if eos else ()))
                    for context, tail, eos in queries]
 
 
@@ -68,10 +84,8 @@ def test_kept_ngram_rows_equal_the_formula_bit_for_bit(case):
     model, queries = case
     for _ in range(2):  # a row is computed on the first call and kept for the second
         for context, prefix in queries:
-            row = model.next_logprobs(context, prefix)
-            want = reference_ngram_row(model, context, prefix)
-            assert [(tid, lp.hex()) for tid, lp in row.items()] == \
-                [(tid, lp.hex()) for tid, lp in want.items()]
+            assert_row_is(model.next_logprobs(context, prefix),
+                          reference_ngram_row(model, context, prefix), model.vocabulary)
 
 
 # ------------------------------------------------------------ ranking
@@ -108,14 +122,30 @@ def dyadic_rows(draw, n_ext: int):
 
 @st.composite
 def dyadic_table_models(draw):
-    n_words = draw(st.integers(1, 3))
-    vocab = vocabulary(n_words)
+    vocab = draw(vocabularies())
     ext = [vocab.tokens[i] for i in vocab.extension_ids]
-    words = WORDS[:n_words]
+    words = words_of(vocab)
     keys = draw(st.lists(st.lists(st.sampled_from(words), max_size=3).map(" ".join),
                          unique=True, max_size=10))
     rows = {key: dict(zip(ext, draw(dyadic_rows(len(ext))))) for key in keys}
     return TableModel(vocab, rows, dict(zip(ext, draw(dyadic_rows(len(ext))))))
+
+
+def reference_table_row(model: TableModel, prefix) -> dict:
+    """The table row as it was built when rows were mappings."""
+    vocab = model.vocabulary
+    probs = model.rows.get(" ".join(vocab.to_strings(prefix[1:])), model.default_row)
+    ps = {tid: probs.get(vocab.tokens[tid], 0.0) for tid in vocab.extension_ids}
+    return {tid: math.log(p) if p > 0.0 else NEG_INF for tid, p in ps.items()}
+
+
+@PROPERTY
+@given(dyadic_table_models(), st.data())
+def test_table_rows_equal_the_formula_bit_for_bit(model, data):
+    vocab = model.vocabulary
+    for _ in range(4):
+        prefix = (vocab.bos_id, *data.draw(st.lists(st.sampled_from(vocab.core_ids), max_size=3)))
+        assert_row_is(model.next_logprobs("", prefix), reference_table_row(model, prefix), vocab)
 
 
 @PROPERTY
@@ -137,13 +167,23 @@ def test_ranked_equals_the_full_canonical_sort(model, k, mode, data):
             break
 
 
+@PROPERTY
+@given(dyadic_table_models(), st.integers(1, 3), st.data())
+def test_lookahead_equals_the_reference(model, d, data):
+    vocab = model.vocabulary
+    h = Hypothesis.initial(vocab)
+    for tid in data.draw(st.lists(st.sampled_from(vocab.core_ids), max_size=2)):
+        h = extend(h, tid, model.next_logprobs("", h.tokens)[tid], vocab.eos_id)
+    assert eval_lookahead(model, "", h, d).hex() == reference_eval_lookahead(model, "", h, d).hex()
+
+
 # ------------------------------------------------------------ read-only rows
 
 
 any_model = st.one_of(
     dyadic_table_models(),
     ngram_cases().map(itemgetter(0)),
-    st.integers(1, 3).map(lambda n: UniformModel(vocabulary(n))),
+    vocabularies().map(UniformModel),
 )
 
 
@@ -151,7 +191,7 @@ any_model = st.one_of(
 @given(any_model, st.data(), st.floats(allow_nan=False))
 def test_rows_are_read_only_and_shared(model, data, value):
     vocab = model.vocabulary
-    prefix = (0, *data.draw(st.lists(st.sampled_from(vocab.core_ids), max_size=3)))
+    prefix = (vocab.bos_id, *data.draw(st.lists(st.sampled_from(vocab.core_ids), max_size=3)))
     row = model.next_logprobs("", prefix)
     before = dict(row)
     tid = data.draw(st.sampled_from(vocab.extension_ids))

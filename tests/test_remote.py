@@ -2,6 +2,7 @@ import json
 import math
 import socket
 import threading
+import time
 
 import pytest
 
@@ -21,6 +22,15 @@ def served_tiny3():
     yield model, server.address
     server.shutdown()
     server.server_close()
+
+
+def test_shutdown_returns_at_once():
+    server = ScorerServer(make_tiny3()).start()
+    t0 = time.monotonic()
+    server.shutdown()
+    elapsed = time.monotonic() - t0
+    server.server_close()
+    assert elapsed < 0.2
 
 
 class TestRemoteScorer:
@@ -182,6 +192,24 @@ class TestProtocolValidation:
             client.next_logprobs("", (0,))
         client.close()
 
+    def test_response_that_is_not_utf8_is_transport_error(self):
+        sock = socket.socket()
+        sock.bind(("127.0.0.1", 0))
+        sock.listen(1)
+
+        def run():
+            conn, _ = sock.accept()
+            with conn.makefile("rb") as f:
+                f.readline()
+            conn.sendall(b'{"id": 0, "rows": [["\xff"]]}\n')
+            conn.close()
+
+        threading.Thread(target=run, daemon=True).start()
+        client = RemoteScorer(self.model.vocabulary, *sock.getsockname())
+        with pytest.raises(ScorerTransportError, match="malformed response"):
+            client.next_logprobs("", (0,))
+        client.close()
+
     def test_ids_echoed_in_order(self):
         seen = []
 
@@ -211,6 +239,23 @@ class TestProtocolValidation:
         client.close()
 
 
+    def test_positive_value_rejected(self):
+        # exp(1e-12) is 1 within the mass tolerance, so only the row check
+        # catches it; a NaN fails the mass check (test_malformed_row_rejected)
+        host, port = _one_shot_server(lambda req: {"id": req["id"], "rows": [[1e-12, None, None]]})
+        client = RemoteScorer(self.model.vocabulary, host, port)
+        with pytest.raises(ScorerTransportError, match="must be <= 0 and not NaN"):
+            client.next_logprobs("", (0,))
+        client.close()
+
+    def test_integer_value_read_as_float(self):
+        host, port = _one_shot_server(lambda req: {"id": req["id"], "rows": [[0, None, None]]})
+        client = RemoteScorer(self.model.vocabulary, host, port)
+        row = client.next_logprobs("", (0,))
+        client.close()
+        assert dict(row) == {1: 0.0, 2: NEG_INF, 3: NEG_INF} and type(row[1]) is float
+
+
 class TestServerErrorReplies:
     """A request the server cannot answer gets an error reply, and the
     connection keeps serving."""
@@ -225,23 +270,23 @@ class TestServerErrorReplies:
                 replies.append(json.loads(f.readline()))
             return replies
 
+    GOOD = {"context": "", "prefixes": [["<s>"]]}
+
     def good(self, req_id):
-        return json.dumps({"id": req_id, "context": "", "prefix": ["<s>"]}).encode()
+        return json.dumps({"id": req_id, **self.GOOD}).encode()
 
     @pytest.mark.parametrize("line,req_id,message", [
         (b"{not json", None, "JSONDecodeError"),
-        (b'{"id": 4, "context": "", "prefix": ["<s>", "zz"]}', 4, "unknown token 'zz'"),
-        (b'{"id": 5, "context": "", "prefix": ["a"]}', 5, "must begin with BOS"),
-        (b'{"id": 6, "context": ""}', 6, "prefix"),
+        (b'{"id": 4, "context": "", "prefixes": [["<s>", "zz"]]}', 4, "unknown token 'zz'"),
+        (b'{"id": 5, "context": "", "prefixes": [["a"]]}', 5, "must begin with BOS"),
+        (b'{"id": 6, "context": ""}', 6, "KeyError: 'prefixes'"),
     ])
     def test_error_reply_then_keeps_serving(self, served_tiny3, line, req_id, message):
         model, address = served_tiny3
         bad, good = self.exchange(address, [line, self.good(7)])
-        assert bad["id"] == req_id and "logprobs" not in bad
+        assert bad["id"] == req_id and "rows" not in bad
         assert message in bad["error"]
-        assert good["id"] == 7
-        assert good["logprobs"] == {model.vocabulary.tokens[tid]: lp
-                                    for tid, lp in model.next_logprobs("", (0,)).items()}
+        assert good == {"id": 7, "rows": _rows(model, self.GOOD)}
 
     def test_client_raises_the_server_message(self, served_tiny3):
         model, (host, port) = served_tiny3
@@ -291,10 +336,11 @@ class TestStrictJson:
 
     def test_zero_probability_is_null(self, serve):
         model = TableModel(self.VOCAB, {}, {"a": 0.75, "b": 0.0, "</s>": 0.25})
-        reply = _exchange(serve(model).address, b'{"id": 3, "context": "", "prefix": ["<s>"]}')
+        reply = _exchange(serve(model).address,
+                          b'{"id": 3, "context": "", "prefixes": [["<s>"]]}')
         assert b"Infinity" not in reply
         assert _strict_loads(reply) == {
-            "id": 3, "logprobs": {"a": math.log(0.75), "b": None, "</s>": math.log(0.25)}}
+            "id": 3, "rows": [[math.log(0.75), None, math.log(0.25)]]}
 
     def test_client_reads_null_as_minus_infinity(self):
         def reply(req):
@@ -303,19 +349,20 @@ class TestStrictJson:
         host, port = _one_shot_server(reply)
         client = RemoteScorer(self.VOCAB, host, port)
         try:
-            assert client.next_logprobs("", (0,)) == {1: math.log(0.75), 2: NEG_INF,
-                                                      3: math.log(0.25)}
+            row = client.next_logprobs("", (0,))
+            assert dict(row) == {1: math.log(0.75), 2: NEG_INF, 3: math.log(0.25)}
+            assert row[0] == NEG_INF  # the BOS slot
         finally:
             client.close()
 
     @pytest.mark.parametrize("line", [
-        b'{"id": NaN, "context": "", "prefix": ["<s>"]}',
-        b'{"id": 1e400, "context": "", "prefix": ["<s>"]}',
-        b'{"id": 1, "context": "", "prefix": ["<s>"], "x": -Infinity}',
+        b'{"id": NaN, "context": "", "prefixes": [["<s>"]]}',
+        b'{"id": 1e400, "context": "", "prefixes": [["<s>"]]}',
+        b'{"id": 1, "context": "", "prefixes": [["<s>"]], "x": -Infinity}',
     ])
     def test_request_with_a_non_finite_number_gets_an_error(self, serve, line):
         reply = _strict_loads(_exchange(serve(make_tiny3()).address, line))
-        assert reply["id"] is None and "logprobs" not in reply
+        assert reply["id"] is None and "rows" not in reply
         assert reply["error"].startswith("ValueError")
 
     def test_non_finite_row_gets_an_error_not_nan(self, serve):
@@ -326,7 +373,7 @@ class TestStrictJson:
                 return {1: math.nan, 2: 0.0, 3: NEG_INF}
 
         reply = _strict_loads(_exchange(serve(NanScorer()).address,
-                                        b'{"id": 2, "context": "", "prefix": ["<s>"]}'))
+                                        b'{"id": 2, "context": "", "prefixes": [["<s>"]]}'))
         assert reply["id"] == 2 and reply["error"].startswith("ValueError")
 
     def test_zero_probability_rows_decode_bit_identically(self, serve, inp):
@@ -415,26 +462,22 @@ class TestBatchedWire:
         ("<s>", "TypeError: prefixes must be a list"),
         ([["<s>"], "<s>"], "TypeError: a prefix must be a list"),
     ])
-    def test_bad_batch_gets_one_error_then_v2_and_v1_are_served(self, served_tiny3,
-                                                                 prefixes, message):
+    def test_bad_batch_gets_one_error_then_requests_are_served(self, served_tiny3,
+                                                                prefixes, message):
         model, address = served_tiny3
-        tokens = model.vocabulary.tokens
+        goods = [{"id": 2, "context": "", "prefixes": [["<s>"], ["<s>", "b"]]},
+                 {"id": 3, "context": "", "prefixes": [["<s>", "a"]]}]
         bad = json.dumps({"id": 1, "context": "", "prefixes": prefixes}).encode()
-        good_v2 = json.dumps({"id": 2, "context": "", "prefixes": [["<s>"], ["<s>", "b"]]})
-        good_v1 = json.dumps({"id": 3, "context": "", "prefix": ["<s>", "a"]})
         with socket.create_connection(address, timeout=5.0) as sock:
             f = sock.makefile("rwb")
             replies = []
-            for line in (bad, good_v2.encode(), good_v1.encode()):
+            for line in [bad] + [json.dumps(good).encode() for good in goods]:
                 f.write(line + b"\n")
                 f.flush()
                 replies.append(json.loads(f.readline()))
-        error, v2, v1 = replies
+        error, *served = replies
         assert error["id"] == 1 and message in error["error"] and "rows" not in error
-        assert v2 == {"id": 2, "rows": _rows(model, {"context": "",
-                                                     "prefixes": [["<s>"], ["<s>", "b"]]})}
-        assert v1 == {"id": 3, "logprobs": {tokens[tid]: lp for tid, lp in
-                                            model.next_logprobs("", (0, 1)).items()}}
+        assert served == [{"id": good["id"], "rows": _rows(model, good)} for good in goods]
 
 
 class TestVocabularyCheck:

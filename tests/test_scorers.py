@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from seqdec.core import DecodeConfig, DecodeInput, Vocabulary
+from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, Row, Vocabulary
 from seqdec.decode import decode
 from seqdec.scorers import (
     CountingScorer,
@@ -243,6 +243,77 @@ class TestModelValidation:
         assert row[2] == math.log(2.5 / 3.0)
 
 
+class TestRowBoundaries:
+    """Every place a row is made rejects a positive and a NaN value. Model
+    construction is covered by ``TestModelValidation``."""
+
+    VOCAB = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+
+    @pytest.mark.parametrize("lps", [
+        [1e-300, NEG_INF], [0.5, -1.0], [math.inf, NEG_INF],
+        [math.nan, -1.0], [-1.0, math.nan], [math.nan, 0.5],
+    ])
+    def test_row_of_rejects_a_positive_or_nan_value(self, lps):
+        with pytest.raises(ValueError, match="must be <= 0 and not NaN"):
+            Row.of(self.VOCAB, lps)
+
+    def test_row_spans_the_vocabulary_with_minus_inf_at_bos(self):
+        vocab = Vocabulary(("x", "</s>", "<s>", "y"), 2, 1)
+        row = Row.of(vocab, [-1.0, -2.0, -3.0])
+        assert row == (-1.0, -2.0, NEG_INF, -3.0)
+        assert dict(row) == {0: -1.0, 1: -2.0, 3: -3.0}
+        assert vocab.extension_values(row) == row.values() == (-1.0, -2.0, -3.0)
+
+    @pytest.mark.parametrize("tokens,bos,eos", [(("<s>", "</s>"), 0, 1), (("</s>", "<s>"), 1, 0)])
+    def test_two_token_vocabulary_reads_a_tuple(self, tokens, bos, eos):
+        vocab = Vocabulary(tokens, bos, eos)
+        row = Row.of(vocab, [0.0])
+        assert row[vocab.bos_id] == NEG_INF and row.values() == (0.0,)
+
+    def test_ngram_rows_are_checked_where_they_are_made(self):
+        # a model changed after construction still cannot reach a decoder
+        # with a bad row: 0.6 / (-1 + 0.6 * 2) is 3, and alpha NaN is NaN
+        model = NgramModel(self.VOCAB, 2, 0.6, {"<s>": {"a": 1}, "a": {"a": 1}})
+        model.counts["<s>"] = {"zz": -1}
+        with pytest.raises(ValueError, match="must be <= 0 and not NaN"):
+            model.next_logprobs("", (0,))
+        model.alpha = math.nan
+        with pytest.raises(ValueError, match="must be <= 0 and not NaN"):
+            model.next_logprobs("", (0, 1))
+        with pytest.raises(ValueError, match="alpha"):
+            NgramModel(self.VOCAB, 2, math.nan, {})
+
+    @pytest.mark.parametrize("value", [0.25, math.nan])
+    def test_counting_scorer_checks_a_third_party_row(self, value):
+        class DictScorer:
+            vocabulary = self.VOCAB
+
+            def next_logprobs(self, context, prefix):
+                return {1: value, 2: -1.0}
+
+            def next_logprobs_batch(self, context, prefixes):
+                return [self.next_logprobs(context, p) for p in prefixes]
+
+        counted = CountingScorer(DictScorer())
+        with pytest.raises(ValueError, match="must be <= 0 and not NaN"):
+            counted.next_logprobs("", (0,))
+        with pytest.raises(ValueError, match="must be <= 0 and not NaN"):
+            counted.next_logprobs_batch("", [(0,)])
+
+    def test_counting_scorer_passes_rows_through_and_converts_mappings(self, tiny3):
+        row = tiny3.next_logprobs("", (0,))
+        assert CountingScorer(tiny3).next_logprobs("", (0,)) is row
+
+        class DictScorer:
+            vocabulary = tiny3.vocabulary
+
+            def next_logprobs(self, context, prefix):
+                return dict(tiny3.next_logprobs(context, prefix))
+
+        converted = CountingScorer(DictScorer()).next_logprobs("", (0,))
+        assert type(converted) is Row and converted == row
+
+
 class TestLazyRows:
     def test_construction_computes_no_row_per_history(self, monkeypatch):
         # 2,000 words and 2,000 bigram histories: one row per history
@@ -262,6 +333,16 @@ class TestLazyRows:
         assert rows_built == [{}, {"w6": 1}]
         assert model.next_logprobs("", (0,)) is model.next_logprobs("x", (0,))  # unseen
         assert len(rows_built) == 2
+        assert len(model._rows) == 1  # no entry for an unseen history
+
+    def test_out_of_vocabulary_context_word_finds_its_count_history(self):
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = NgramModel(vocab, 3, 0.5, {"zz a": {"</s>": 3}, "a zz": {"a": 1}})
+        row = model.next_logprobs("zz", (0, 1))
+        assert row[2] == math.log(3.5 / 4.0)
+        assert model.next_logprobs("zz a", (0,)) is row
+        assert model.next_logprobs("a zz", (0,))[1] == math.log(1.5 / 2.0)
+        assert model.next_logprobs("b zz", (0,)) is model.next_logprobs("", (0,))  # unseen
 
     def test_training_computes_no_row(self, monkeypatch):
         rows_built = []
