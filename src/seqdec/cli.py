@@ -18,6 +18,8 @@ from typing import Sequence
 
 from seqdec.core import (
     DEFAULT_BUDGET,
+    VALID_MODES,
+    VALID_STRATEGIES,
     BudgetExceededError,
     DecodeConfig,
     DecodeInput,
@@ -234,11 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="JSONL corpus path")
         p.add_argument("--output", required=True, help="output path")
         p.add_argument("--max-len", dest="max_len", type=int, default=32)
-        p.add_argument("--mode", choices=["raw", "practical"], default="practical")
+        p.add_argument("--mode", choices=VALID_MODES, default="practical")
         p.add_argument("--budget", type=int, default=_default_budget())
         if needs_strategy:
-            p.add_argument("--strategy", required=True,
-                           choices=["greedy", "beam", "lbs", "lhbs", "exhaustive"])
+            p.add_argument("--strategy", required=True, choices=VALID_STRATEGIES)
             p.add_argument("--k", type=int, default=1)
             p.add_argument("--d", type=int, default=0)
 

@@ -21,20 +21,18 @@ from __future__ import annotations
 
 import math
 import statistics
-import sys
 import time
-from contextlib import contextmanager
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from seqdec.core import (
     NEG_INF,
-    BudgetExceededError,
     DecodeConfig,
     DecodeInput,
     DecodeResult,
     Hypothesis,
     MetricsRecord,
+    Row,
     canonical_best,
     canonical_sorted,
     check_budget,
@@ -180,24 +178,45 @@ def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
 
 def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], cum: float,
                d: int, f_max: float) -> float:
-    """eval_lookahead for an incomplete prefix and d >= 1, on floats and
-    validated rows read as they are."""
-    row = counted.next_logprobs(context, tokens)
-    if d == 1:
-        # each child would only raise f_max to its own score, and the best
-        # child's score is cum + max(row) since addition is monotone (the
-        # BOS slot's -inf never wins)
-        return max(f_max, cum + max(row))
+    """eval_lookahead for the prefix ``tokens`` scored ``cum``, on floats
+    and validated rows read as they are.
+
+    A depth-first walk on an explicit stack: each open level is an
+    iterator over its node's children, by score descending, then token
+    id, and the path is held once, so memory is linear in ``d``.
+    """
     vocab = counted.vocabulary
     eos = vocab.eos_id
-    for neg, tid in sorted([(-(cum + lp), tid) for tid, lp in
-                            zip(vocab.extension_ids, vocab.extension_values(row))]):
-        score = -neg
-        if score < f_max:
-            break
-        if tid != eos:
-            score = _lookahead(counted, context, tokens + (tid,), score, d - 1, f_max)
-        f_max = max(f_max, score)
+    if d == 0 or tokens[-1] == eos:
+        return max(cum, f_max)
+
+    def level(cum: float, row: Row) -> Iterator[tuple[float, int]]:
+        return iter(sorted([(-(cum + lp), tid) for tid, lp in
+                            zip(vocab.extension_ids, vocab.extension_values(row))]))
+
+    # A node whose children are leaves needs no level: each child would
+    # only raise f_max to its own score, and the best child's score is
+    # cum + max(row) since addition is monotone (the BOS slot's -inf
+    # never wins).
+    row = counted.next_logprobs(context, tokens)
+    if d == 1:
+        return max(f_max, cum + max(row))
+    path, stack = list(tokens), [level(cum, row)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None or -child[0] < f_max:  # done, or the rest scores lower still
+            del stack[-1], path[-1]
+            continue
+        neg, tid = child
+        if tid == eos:
+            f_max = max(f_max, -neg)
+            continue
+        row = counted.next_logprobs(context, (*path, tid))
+        if len(stack) == d - 1:
+            f_max = max(f_max, -neg + max(row))
+        else:
+            path.append(tid)
+            stack.append(level(-neg, row))
     return f_max
 
 
@@ -210,31 +229,10 @@ def eval_lookahead(scorer: Scorer, context: str, h: Hypothesis, d: int,
     Children are visited by score descending, then token id ascending;
     branches whose running score already falls below f_max are pruned,
     which is sound because scores never increase under extension.
-    Raises ``BudgetExceededError`` when the lookahead, which recurses once
-    per level, would exceed the interpreter's recursion limit.
     """
     if d < 0:
         raise ValueError("lookahead depth must be >= 0")
-    if h.complete or d == 0:
-        return max(h.cum_logprob, f_max)
-    with _recursion_guard(d):
-        return _lookahead(CountingScorer(scorer), context, h.tokens, h.cum_logprob, d, f_max)
-
-
-@contextmanager
-def _recursion_guard(d: int) -> Iterator[None]:
-    """Refuse a lookahead of depth ``d``, which recurses once per level,
-    with ``BudgetExceededError``: at once when ``d`` reaches the
-    interpreter's recursion limit, otherwise when the body runs into it.
-    """
-    limit = sys.getrecursionlimit()
-    too_deep = f"lookahead depth {d} exceeds the recursion limit {limit}"
-    if d >= limit:
-        raise BudgetExceededError(too_deep)
-    try:
-        yield
-    except RecursionError as exc:
-        raise BudgetExceededError(too_deep) from exc
+    return _lookahead(CountingScorer(scorer), context, h.tokens, h.cum_logprob, d, f_max)
 
 
 def _lbs_select(counted: CountingScorer, context: str, beam: list[Hypothesis],
@@ -250,13 +248,9 @@ def _lbs_select(counted: CountingScorer, context: str, beam: list[Hypothesis],
     scored: list[tuple[float, _Entry]] = []
     for entry in _ranked(counted, context, beam):
         bar = kth_max([f for f, _ in scored], n)
-        neg, tokens = entry[0], entry[1]
-        if -neg < bar:
+        if -entry[0] < bar:
             break
-        if d == 0 or tokens[-1] == eos:
-            f = max(-neg, bar)
-        else:
-            f = _lookahead(counted, context, tokens, -neg, d, bar)
+        f = _lookahead(counted, context, entry[1], -entry[0], d, bar)
         if f > bar or len(scored) < n:
             scored.append((f, entry))
     # stable: equal totals keep the canonical order of the scan
@@ -271,9 +265,7 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     ranked by their plain cumulative score.
 
     Refuses when the extension-token count raised to the lookahead depth
-    exceeds the budget, or when the lookahead, which recurses once per
-    level, would exceed the interpreter's recursion limit: at once when
-    ``d`` alone reaches the limit, otherwise when the search runs into it.
+    exceeds the budget.
     """
     t0 = time.perf_counter()
     counted = CountingScorer(scorer)
@@ -283,8 +275,7 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     def select(beam, n):
         return _lbs_select(counted, inp.context, beam, d, n)
 
-    with _recursion_guard(d):
-        return _search(counted, config, select, t0)
+    return _search(counted, config, select, t0)
 
 
 def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,

@@ -36,7 +36,8 @@ def _check_prefix(vocab: Vocabulary, prefix: Sequence[int]) -> None:
     # scored; its row means nothing, and the decoders do not ask for it.
     if not prefix or prefix[0] != vocab.bos_id:
         raise ValueError("prefix must begin with BOS")
-    if vocab.eos_id in prefix[:-1]:
+    eos = vocab.eos_id
+    if eos in prefix and prefix.index(eos) != len(prefix) - 1:
         raise ValueError("prefix must not contain an interior EOS")
 
 

@@ -167,14 +167,35 @@ def test_ranked_equals_the_full_canonical_sort(model, k, mode, data):
             break
 
 
+class PrefixRecorder:
+    """A model's rows, recording every prefix asked, in order."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocabulary = model.vocabulary
+        self.asked = []
+
+    def next_logprobs(self, context, prefix):
+        self.asked.append(tuple(prefix))
+        return self.model.next_logprobs(context, prefix)
+
+
 @PROPERTY
-@given(dyadic_table_models(), st.integers(1, 3), st.data())
+@given(dyadic_table_models(), st.integers(1, 4), st.data())
 def test_lookahead_equals_the_reference(model, d, data):
+    # d >= 3 opens a level below the root's, so only then is the walk's
+    # stack more than one level deep
     vocab = model.vocabulary
     h = Hypothesis.initial(vocab)
     for tid in data.draw(st.lists(st.sampled_from(vocab.core_ids), max_size=2)):
         h = extend(h, tid, model.next_logprobs("", h.tokens)[tid], vocab.eos_id)
-    assert eval_lookahead(model, "", h, d).hex() == reference_eval_lookahead(model, "", h, d).hex()
+    f_max = data.draw(st.one_of(st.just(NEG_INF), st.just(h.cum_logprob),
+                                st.floats(0.0, 4.0).map(lambda x: h.cum_logprob - x)))
+    got, want = CountingScorer(PrefixRecorder(model)), CountingScorer(PrefixRecorder(model))
+    assert (eval_lookahead(got, "", h, d, f_max).hex()
+            == reference_eval_lookahead(want, "", h, d, f_max).hex())
+    assert got.inner.asked == want.inner.asked
+    assert got.calls == want.calls
 
 
 # ------------------------------------------------------------ read-only rows

@@ -62,23 +62,34 @@ class TestRemoteScorer:
             RemoteScorer(model.vocabulary, "127.0.0.1", 1, timeout=0.2)
 
 
-def _one_shot_server(reply_fn):
-    """Accept one connection, answer each request line with reply_fn(request)."""
+def _serve_once(handle):
+    """Listen on a loopback port and return its address; a thread accepts
+    one connection, closes the listener, and runs handle(conn), closing
+    the connection after it."""
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))
     sock.listen(1)
 
     def run():
-        conn, _ = sock.accept()
-        f = conn.makefile("rwb")
-        for line in f:
-            request = json.loads(line)
-            f.write(json.dumps(reply_fn(request)).encode() + b"\n")
-            f.flush()
-        conn.close()
+        with sock:
+            conn, _ = sock.accept()
+        with conn:
+            handle(conn)
 
     threading.Thread(target=run, daemon=True).start()
     return sock.getsockname()
+
+
+def _one_shot_server(reply_fn):
+    """Accept one connection, answer each request line with reply_fn(request)."""
+    def handle(conn):
+        with conn.makefile("rwb") as f:
+            for line in f:
+                request = json.loads(line)
+                f.write(json.dumps(reply_fn(request)).encode() + b"\n")
+                f.flush()
+
+    return _serve_once(handle)
 
 
 def _rows(model, request):
@@ -177,35 +188,19 @@ class TestProtocolValidation:
         client.close()
 
     def test_peer_close_is_transport_error(self):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        sock.listen(1)
-
-        def run():
-            conn, _ = sock.accept()
-            conn.close()
-
-        threading.Thread(target=run, daemon=True).start()
-        host, port = sock.getsockname()
+        host, port = _serve_once(lambda conn: None)
         client = RemoteScorer(self.model.vocabulary, host, port)
         with pytest.raises(ScorerTransportError):
             client.next_logprobs("", (0,))
         client.close()
 
     def test_response_that_is_not_utf8_is_transport_error(self):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        sock.listen(1)
-
-        def run():
-            conn, _ = sock.accept()
+        def handle(conn):
             with conn.makefile("rb") as f:
                 f.readline()
             conn.sendall(b'{"id": 0, "rows": [["\xff"]]}\n')
-            conn.close()
 
-        threading.Thread(target=run, daemon=True).start()
-        client = RemoteScorer(self.model.vocabulary, *sock.getsockname())
+        client = RemoteScorer(self.model.vocabulary, *_serve_once(handle))
         with pytest.raises(ScorerTransportError, match="malformed response"):
             client.next_logprobs("", (0,))
         client.close()
