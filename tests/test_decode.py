@@ -363,6 +363,38 @@ class TestLookaheadBudget:
             assert strs(vocab, r.best) == ["<s>", "</s>"]
             assert r.scorer_calls > d
 
+    def test_depth_beyond_the_recursion_limit_refused(self, inp):
+        # past the recursion limit only the budget refuses a depth: one
+        # node short of 2^d, and before any scorer call
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = CountingScorer(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}))
+        d = sys.getrecursionlimit() + 100
+        for mode in ("raw", "practical"):
+            with pytest.raises(BudgetExceededError, match="exceeds node budget"):
+                lbs_decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, mode=mode,
+                                           budget=2**d - 1))
+        assert model.calls == 0
+
+    def test_depth_just_under_the_recursion_limit_refused(self, inp):
+        # called with few frames to spare, an over-budget depth is still
+        # refused by the budget, not by a RecursionError
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = CountingScorer(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}))
+        limit = sys.getrecursionlimit()
+        d = limit - 5
+
+        def dive(n):
+            if n:
+                return dive(n - 1)
+            return lbs_decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, budget=2**d - 1))
+
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        with pytest.raises(BudgetExceededError, match="exceeds node budget"):
+            dive(limit - depth - 30)
+        assert model.calls == 0
+
     def test_scorer_needing_many_frames_runs(self, inp):
         # the lookahead adds no frames per level below the scorer's own
         vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
