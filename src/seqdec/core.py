@@ -55,6 +55,8 @@ class Vocabulary:
     extension_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     #: Extension ids excluding EOS.
     core_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: Token string -> token id.
+    token_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     #: A row's values at the extension ids, as a tuple.
     extension_values: Callable[[Sequence[float]], tuple[float, ...]] = field(
         init=False, repr=False, compare=False)
@@ -69,6 +71,7 @@ class Vocabulary:
             raise ValueError("token strings must be unique")
         if any(not t for t in self.tokens):
             raise ValueError("token strings must be non-empty")
+        object.__setattr__(self, "token_ids", {t: i for i, t in enumerate(self.tokens)})
         ext = tuple(i for i in range(n) if i != self.bos_id)
         object.__setattr__(self, "extension_ids", ext)
         object.__setattr__(self, "core_ids", tuple(i for i in ext if i != self.eos_id))

@@ -84,26 +84,33 @@ def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Dec
     return _result(h, finished, (h,), counted.calls, t0)
 
 
-def _search(counted: CountingScorer, config: DecodeConfig,
-            select: Callable[[list[Hypothesis], int], list[Hypothesis]],
+def _search(counted: CountingScorer, context: str, config: DecodeConfig,
+            pick: Callable[[list[Hypothesis], list[_Entry], int], list[_Entry]],
             t0: float) -> DecodeResult:
     """The search loop beam, LBS and LHBS share, in both modes.
 
-    ``select(beam, n)`` returns one step's candidates in the strategy's
-    own order: the next beam in raw mode (n = k), which runs ``max_len``
-    fixed steps; the popped candidates in practical mode (n = 2k), which
-    routes the complete ones to the finished pool.
+    Each step ranks the whole beam's candidates with one ``_ranked``
+    call, so the step's rows come from one batch. ``pick(beam, entries,
+    n)`` returns the entries the strategy keeps, in its own order: the
+    next beam in raw mode (n = k), which runs ``max_len`` fixed steps;
+    the popped candidates in practical mode (n = 2k), which routes the
+    complete ones to the finished pool.
     """
     k = config.beam_width
+    eos = counted.vocabulary.eos_id
+
+    def step(beam: list[Hypothesis], n: int) -> list[Hypothesis]:
+        return [_hypothesis(e, eos) for e in pick(beam, _ranked(counted, context, beam), n)]
+
     beam = [Hypothesis.initial(counted.vocabulary)]
     if config.mode == "raw":
         for _ in range(config.max_len):
-            beam = select(beam, k)
+            beam = step(beam, k)
         finished = [h for h in beam if h.complete]
         return _result(canonical_best(finished or beam), finished, beam, counted.calls, t0)
     finished: list[Hypothesis] = []
     for _ in range(config.max_len):
-        popped = select(beam, 2 * k)
+        popped = step(beam, 2 * k)
         beam = [h for h in popped if not h.complete][:k]
         finished = canonical_sorted(finished + [h for h in popped if h.complete])[:k]
         if not beam:
@@ -167,13 +174,8 @@ def _hypothesis(entry: _Entry, eos_id: int) -> Hypothesis:
 def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Top-k beam search."""
     t0 = time.perf_counter()
-    counted = CountingScorer(scorer)
-    eos = counted.vocabulary.eos_id
-
-    def select(beam, n):
-        return [_hypothesis(e, eos) for e in _ranked(counted, inp.context, beam)[:n]]
-
-    return _search(counted, config, select, t0)
+    return _search(CountingScorer(scorer), inp.context, config,
+                   lambda beam, entries, n: entries[:n], t0)
 
 
 def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], cum: float,
@@ -235,29 +237,6 @@ def eval_lookahead(scorer: Scorer, context: str, h: Hypothesis, d: int,
     return _lookahead(CountingScorer(scorer), context, h.tokens, h.cum_logprob, d, f_max)
 
 
-def _lbs_select(counted: CountingScorer, context: str, beam: list[Hypothesis],
-                d: int, n: int) -> list[Hypothesis]:
-    """Pick the n candidates maximizing current score + lookahead bonus.
-
-    Candidates are visited in descending current score so the scan can
-    stop at the first candidate whose current score already falls below
-    the running n-th best total. Returns the hypotheses in selection
-    order (total descending, canonical tie-break).
-    """
-    eos = counted.vocabulary.eos_id
-    scored: list[tuple[float, _Entry]] = []
-    for entry in _ranked(counted, context, beam):
-        bar = kth_max([f for f, _ in scored], n)
-        if -entry[0] < bar:
-            break
-        f = _lookahead(counted, context, entry[1], -entry[0], d, bar)
-        if f > bar or len(scored) < n:
-            scored.append((f, entry))
-    # stable: equal totals keep the canonical order of the scan
-    scored.sort(key=lambda fe: -fe[0])
-    return [_hypothesis(e, eos) for _, e in scored[:n]]
-
-
 def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Lookahead beam search: rank candidates by current score plus the
     best score achievable within ``lookahead_depth`` future steps. The
@@ -272,10 +251,24 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     d = config.lookahead_depth
     check_budget(len(counted.vocabulary.extension_ids), d, config.budget)
 
-    def select(beam, n):
-        return _lbs_select(counted, inp.context, beam, d, n)
+    def pick(beam, entries, n):
+        """The n entries maximizing current score + lookahead bonus, by
+        total descending with canonical tie-break. Entries come by
+        current score descending, so the scan stops at the first whose
+        current score already falls below the running n-th best total."""
+        scored: list[tuple[float, _Entry]] = []
+        for entry in entries:
+            bar = kth_max([f for f, _ in scored], n)
+            if -entry[0] < bar:
+                break
+            f = _lookahead(counted, inp.context, entry[1], -entry[0], d, bar)
+            if f > bar or len(scored) < n:
+                scored.append((f, entry))
+        # stable: equal totals keep the canonical order of the scan
+        scored.sort(key=lambda fe: -fe[0])
+        return [e for _, e in scored[:n]]
 
-    return _search(counted, config, select, t0)
+    return _search(counted, inp.context, config, pick, t0)
 
 
 def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
@@ -288,8 +281,9 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
     influences which candidates survive. Raw mode pops one candidate per
     slot; practical mode pops two. When the previous beam holds fewer
     hypotheses than there are slots, the extra slots pop from the
-    leftover pool alone. Pools hold the ranked entries of beam and LBS;
-    a ``Hypothesis`` is built only for a popped entry.
+    leftover pool alone. The slots split one step's ranked entries, so
+    the rows of every slot come from one batch, as in beam search and
+    LBS; a ``Hypothesis`` is built only for a popped entry.
 
     If ``trace`` is a list, a per-step record is appended with the sorted
     previous beam and each slot's pool snapshot and popped candidates.
@@ -299,27 +293,31 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
     eos = counted.vocabulary.eos_id
     pops = 1 if config.mode == "raw" else 2
 
-    def select(beam, _):
+    def pick(beam, entries, _):
         prev = canonical_sorted(beam)
+        # the children of slot i's parent; a stable split keeps them in
+        # canonical order, and a slot past the previous beam has none
+        rank = {h.tokens: i for i, h in enumerate(prev)}
+        children: list[list[_Entry]] = [[] for _ in range(config.beam_width)]
+        for e in entries:
+            children[rank[e[2].tokens]].append(e)
         leftover: list[_Entry] = []
-        popped: list[Hypothesis] = []
+        popped: list[_Entry] = []
         slots = []
-        for i in range(config.beam_width):
-            pool = sorted(leftover + _ranked(counted, inp.context, prev[i:i + 1]),
-                          key=_canonical)
+        for i, own in enumerate(children):
+            pool = sorted(leftover + own, key=_canonical)
             if not pool:
                 break
-            taken = [_hypothesis(e, eos) for e in pool[:pops]]
-            leftover = pool[pops:]
+            taken, leftover = pool[:pops], pool[pops:]
             popped += taken
             if trace is not None:
-                slots.append({"slot": i, "pool": taken + [_hypothesis(e, eos) for e in leftover],
-                              "popped": taken})
+                hyps = [_hypothesis(e, eos) for e in pool]
+                slots.append({"slot": i, "pool": hyps, "popped": hyps[:pops]})
         if trace is not None:
             trace.append({"prev": prev, "slots": slots})
-        return popped if config.mode == "raw" else canonical_sorted(popped)
+        return popped if config.mode == "raw" else sorted(popped, key=_canonical)
 
-    return _search(counted, config, select, t0)
+    return _search(counted, inp.context, config, pick, t0)
 
 
 def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:

@@ -148,16 +148,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _prefix(str_to_id: dict[str, int], prefix) -> tuple[int, ...]:
+def _prefix(token_ids: dict[str, int], prefix) -> tuple[int, ...]:
     if not isinstance(prefix, list):
         raise TypeError("a prefix must be a list of token strings")
-    unknown = [t for t in prefix if t not in str_to_id]
+    unknown = [t for t in prefix if t not in token_ids]
     if unknown:
         raise ValueError(f"unknown token {unknown[0]!r}")
-    return tuple(str_to_id[t] for t in prefix)
+    return tuple(token_ids[t] for t in prefix)
 
 
-def _respond(counted: CountingScorer, str_to_id: dict[str, int], line: bytes) -> bytes:
+def _respond(counted: CountingScorer, line: bytes) -> bytes:
     """The encoded response to one request line: its rows, or an error
     naming what was wrong with the request."""
     req_id = None
@@ -172,7 +172,7 @@ def _respond(counted: CountingScorer, str_to_id: dict[str, int], line: bytes) ->
                 raise ValueError("extension tokens differ from the server's")
         if not isinstance(request["prefixes"], list):
             raise TypeError("prefixes must be a list of prefixes")
-        prefixes = [_prefix(str_to_id, p) for p in request["prefixes"]]
+        prefixes = [_prefix(counted.vocabulary.token_ids, p) for p in request["prefixes"]]
         rows = [[None if lp == NEG_INF else lp for lp in row.values()]
                 for row in counted.next_logprobs_batch(context, prefixes)]
         response = json.dumps({"id": req_id, "rows": rows}, allow_nan=False)
@@ -185,11 +185,10 @@ def _respond(counted: CountingScorer, str_to_id: dict[str, int], line: bytes) ->
 class _ScorerRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         counted = CountingScorer(self.server.scorer)  # type: ignore[attr-defined]
-        str_to_id = {tok: i for i, tok in enumerate(counted.vocabulary.tokens)}
         for line in self.rfile:
             if not line.strip():
                 continue
-            self.wfile.write(_respond(counted, str_to_id, line))
+            self.wfile.write(_respond(counted, line))
             self.wfile.flush()
 
 

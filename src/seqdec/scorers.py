@@ -46,9 +46,11 @@ def _log_row(vocab: Vocabulary, probs: dict[str, float]) -> Row:
     return Row.of(vocab, [math.log(p) if p > 0.0 else NEG_INF for p in ps])
 
 
-def context_key(vocab: Vocabulary, prefix: Sequence[int]) -> str:
-    """Space-joined post-BOS prefix tokens; empty string right after BOS."""
-    return " ".join(vocab.tokens[i] for i in prefix[1:])
+def _check_extension_tokens(vocab: Vocabulary, what: str, tokens: Iterable[str]) -> None:
+    # a token missing from the extension set would take its mass out of the row
+    for t in tokens:
+        if vocab.token_ids.get(t, vocab.bos_id) == vocab.bos_id:
+            raise ValueError(f"{what} names {t!r}, not an extension token")
 
 
 class _JsonModel:
@@ -68,8 +70,9 @@ class _JsonModel:
 class TableModel(_JsonModel):
     """Explicit lookup-table model, the workhorse test fixture.
 
-    Rows are keyed by the space-joined post-BOS prefix; unlisted prefixes
-    fall back to ``default_row``. The context string is ignored.
+    Rows are keyed by the space-joined post-BOS prefix, looked up as a
+    tuple of token ids built once here; unlisted prefixes fall back to
+    ``default_row``. The context string is ignored.
     """
 
     def __init__(self, vocabulary: Vocabulary, rows: dict[str, dict[str, float]],
@@ -82,14 +85,21 @@ class TableModel(_JsonModel):
                 raise ValueError(f"row {key!r} sums to {total}, not 1")
             if not all(0.0 <= p <= 1.0 for p in row.values()):
                 raise ValueError(f"row {key!r} has probabilities outside [0, 1]")
+            _check_extension_tokens(vocabulary, f"row {key!r}", row)
+        ids = vocabulary.token_ids
+        for key in rows:
+            for t in key.split():
+                if t not in ids:
+                    raise ValueError(f"row key {key!r} names {t!r}, not a vocabulary token")
         self.rows = rows
         self.default_row = default_row
-        self._log_rows = {k: _log_row(vocabulary, r) for k, r in rows.items()}
+        self._log_rows = {tuple(ids[t] for t in k.split()): _log_row(vocabulary, r)
+                          for k, r in rows.items()}
         self._log_default = _log_row(vocabulary, default_row)
 
     def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
         _check_prefix(self.vocabulary, prefix)
-        return self._log_rows.get(context_key(self.vocabulary, prefix), self._log_default)
+        return self._log_rows.get(tuple(prefix[1:]), self._log_default)
 
     def to_json(self) -> dict:
         return {
@@ -132,11 +142,13 @@ class NgramModel(_JsonModel):
     order-1 tokens. Conditional probability is
     (count(ctx, y) + alpha) / (count(ctx, .) + alpha * |extension set|).
 
-    A count history's row is computed on its first call and kept, keyed
-    on the history's token ids, so memory grows with the count histories
-    a decode visits, not with histories x vocabulary; every unseen
-    history shares one row, built at construction. Within a row, every
-    token the history never saw shares one float object.
+    The count histories are looked up as token-id tuples, built once
+    here, with words outside the vocabulary kept as strings. A count
+    history's row is computed on its first call and kept, keyed on the
+    same tuple, so memory grows with the count histories a decode
+    visits, not with histories x vocabulary; every unseen history shares
+    one row, built at construction. Within a row, every token the
+    history never saw shares one float object.
     """
 
     def __init__(self, vocabulary: Vocabulary, order: int, alpha: float,
@@ -146,11 +158,14 @@ class NgramModel(_JsonModel):
                 isinstance(c, dict) and all(type(n) is int and n >= 0 for n in c.values())
                 for c in counts.values()):
             raise ValueError("counts must map each history to integer counts >= 0")
+        ids = vocabulary.token_ids
+        for history, ctx_counts in counts.items():
+            _check_extension_tokens(vocabulary, f"history {history!r}", ctx_counts)
         self.vocabulary = vocabulary
         self.order = order
         self.alpha = alpha
         self.counts = counts
-        self._ids = {tok: i for i, tok in enumerate(vocabulary.tokens)}
+        self._counts = {tuple(ids.get(w, w) for w in h.split()): c for h, c in counts.items()}
         self._rows: dict[tuple[int | str, ...], Row] = {}
         self._unseen = self._log_row({})
 
@@ -172,16 +187,16 @@ class NgramModel(_JsonModel):
         if need <= 0:
             return tuple(prefix[len(prefix) - n:])
         words = context.split()[-need:]
+        ids = self.vocabulary.token_ids
         return ((self.vocabulary.bos_id,) * (need - len(words))
-                + tuple(self._ids.get(w, w) for w in words) + tuple(prefix[1:]))
+                + tuple(ids.get(w, w) for w in words) + tuple(prefix[1:]))
 
     def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
         _check_prefix(self.vocabulary, prefix)
         key = self._history(context, prefix)
         row = self._rows.get(key)
         if row is None:
-            tokens = self.vocabulary.tokens
-            ctx_counts = self.counts.get(" ".join(t if type(t) is str else tokens[t] for t in key))
+            ctx_counts = self._counts.get(key)
             if ctx_counts is None:
                 return self._unseen
             row = self._rows[key] = self._log_row(ctx_counts)

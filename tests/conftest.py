@@ -4,7 +4,7 @@ import random
 import pytest
 
 from seqdec.core import NEG_INF, DecodeInput, Hypothesis, Vocabulary, extend
-from seqdec.oracle import breadth_first_lookahead
+from seqdec.oracle import breadth_first_lookahead, sum_left_to_right
 from seqdec.scorers import CountingScorer, TableModel
 
 TINY3_ROWS = {
@@ -44,9 +44,11 @@ def random_table_model(seed: int, n_ext: int, depth: int,
         weights = [rng.random() + floor for _ in ext]
         if allow_zero and rng.random() < 0.3:
             weights[rng.randrange(len(weights) - 1)] = 0.0
-        total = sum(weights)
+        # left to right, as sum() was before Python 3.12, so the rows (and
+        # the digests pinned over them) are the same on every version
+        total = sum_left_to_right(weights)
         probs = [w / total for w in weights]
-        probs[-1] = 1.0 - sum(probs[:-1])
+        probs[-1] = 1.0 - sum_left_to_right(probs[:-1])
         return dict(zip(ext, probs))
 
     rows = {}

@@ -20,7 +20,12 @@ from seqdec.decode import (
     lhbs_decode,
 )
 from seqdec.metrics import surprisal_series, uid_error, SurprisalSeries
-from seqdec.oracle import breadth_first_lookahead, brute_force_map, enumerate_all
+from seqdec.oracle import (
+    breadth_first_lookahead,
+    brute_force_map,
+    enumerate_all,
+    sum_left_to_right,
+)
 from seqdec.remote import RemoteScorer, ScorerServer
 from seqdec.scorers import train_ngram
 
@@ -154,10 +159,10 @@ def test_criterion_6_metric_identities():
                                    strategy=strategy, mode=mode)
                 r = fn(model, INP, cfg)
                 m = r.metrics
-                assert m.nll == sum(-lp for lp in r.best.step_logprobs)
+                assert m.nll == sum_left_to_right(-lp for lp in r.best.step_logprobs)
                 assert m.perplexity == math.exp(m.nll / m.length)
                 series = surprisal_series(model, INP, r.best.tokens)
-                assert sum(series.values) == m.nll
+                assert sum_left_to_right(series.values) == m.nll
                 checked += 1
     assert uid_error(SurprisalSeries((0.7, 0.7, 0.7, 0.7))) == 0.0
     elapsed = time.perf_counter() - start

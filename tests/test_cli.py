@@ -113,6 +113,26 @@ class TestCompareCommand:
         assert rc == 2
 
 
+@pytest.mark.parametrize("scorer,obj", [
+    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": {},
+               "default": {"a": 0.5, "typo": 0.5}}),
+    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+               "counts": {"<s>": {"a": 1, "zz": 5}}}),
+])
+def test_model_naming_a_token_outside_the_vocabulary_exits_2(tmp_path, capsys, scorer, obj):
+    # such a model would serve rows that do not sum to 1
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "s1", "context": ""}\n')
+    out = tmp_path / "out.jsonl"
+    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3", "--scorer", scorer,
+               "--model", str(model), "--input", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert "not an extension token" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTrainCommand:
     def test_roundtrip_and_determinism(self, tmp_path):
         corpus = tmp_path / "text.txt"

@@ -14,6 +14,7 @@ from seqdec.core import (
     extend,
     kth_max,
 )
+from seqdec.oracle import sum_left_to_right
 
 
 class TestKthMax:
@@ -127,7 +128,7 @@ class TestExtend:
                 hyp = extend(hyp, rng.choice([1, 2]), lp, self.vocab.eos_id)
                 assert hyp.cum_logprob <= prev  # monotone under extension
                 prev = hyp.cum_logprob
-            assert hyp.cum_logprob == sum(hyp.step_logprobs)
+            assert hyp.cum_logprob == sum_left_to_right(hyp.step_logprobs)
 
 
 class TestVocabulary:

@@ -12,7 +12,7 @@ from seqdec.metrics import (
     uid_error,
     SurprisalSeries,
 )
-from seqdec.oracle import brute_force_map
+from seqdec.oracle import brute_force_map, sum_left_to_right
 
 from conftest import one_hot_model, random_table_model
 
@@ -36,7 +36,7 @@ class TestSurprisalSeries:
             cfg = DecodeConfig(beam_width=2, max_len=4, strategy="beam", mode="practical")
             r = decode(model, inp, cfg)
             series = surprisal_series(model, inp, r.best.tokens)
-            assert sum(series.values) == pytest.approx(r.metrics.nll, abs=0.0)
+            assert sum_left_to_right(series.values) == pytest.approx(r.metrics.nll, abs=0.0)
 
     def test_requires_bos(self, tiny3, inp):
         with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ class TestMetricsRecord:
                 r = decode(model, inp, cfg)
                 m = r.metrics
                 assert m.nll == -r.best.cum_logprob
-                assert m.nll == sum(-lp for lp in r.best.step_logprobs)
+                assert m.nll == sum_left_to_right(-lp for lp in r.best.step_logprobs)
                 assert m.perplexity == math.exp(m.nll / m.length)
                 assert m.length == len(r.best.tokens) - 1
                 assert m.scorer_calls == r.scorer_calls

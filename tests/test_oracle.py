@@ -3,7 +3,12 @@ import math
 import pytest
 
 from seqdec.core import BudgetExceededError, DecodeInput, Hypothesis, Vocabulary, extend
-from seqdec.oracle import breadth_first_lookahead, brute_force_map, enumerate_all
+from seqdec.oracle import (
+    breadth_first_lookahead,
+    brute_force_map,
+    enumerate_all,
+    sum_left_to_right,
+)
 from seqdec.scorers import TableModel, UniformModel
 
 from conftest import one_hot_model, random_table_model
@@ -61,7 +66,7 @@ class TestBruteForceMap:
         assert best.tokens == (0, 1, 3)
         assert math.exp(best.cum_logprob) == pytest.approx(0.35)
         assert best.complete
-        assert best.cum_logprob == sum(best.step_logprobs)
+        assert best.cum_logprob == sum_left_to_right(best.step_logprobs)
 
     def test_uniform_prefers_short(self, inp):
         vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])

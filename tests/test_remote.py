@@ -416,7 +416,10 @@ class TestBatchedWire:
         DecodeConfig(beam_width=3, max_len=5, strategy="beam", mode="raw"),
         DecodeConfig(beam_width=3, max_len=5, strategy="lbs", mode="raw"),
         DecodeConfig(beam_width=3, lookahead_depth=1, max_len=5, strategy="lbs", mode="raw"),
-    ], ids=["beam-practical", "beam-raw", "lbs-d0-raw", "lbs-d1-raw"])
+        DecodeConfig(beam_width=3, max_len=5, strategy="lhbs", mode="raw"),
+        DecodeConfig(beam_width=4, max_len=6, strategy="lhbs", mode="practical"),
+    ], ids=["beam-practical", "beam-raw", "lbs-d0-raw", "lbs-d1-raw",
+            "lhbs-raw", "lhbs-practical"])
     def test_round_trips_and_logical_calls(self, serve, inp, config):
         server = serve(make_tiny3())
         for seed in range(6):

@@ -236,6 +236,24 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="count"):
             NgramModel(self.VOCAB, 2, 0.5, counts)
 
+    @pytest.mark.parametrize("rows,default,match", [
+        ({}, {"a": 0.5, "typo": 0.5}, "row '<default>' names 'typo'"),
+        ({"": {"a": 0.5, "<s>": 0.5}}, {"a": 1.0}, "row '' names '<s>'"),
+        ({"zz": {"a": 1.0}}, {"a": 1.0}, "row key 'zz' names 'zz'"),
+        ({"a zz": {"a": 1.0}}, {"a": 1.0}, "row key 'a zz' names 'zz'"),
+    ])
+    def test_table_names_only_vocabulary_tokens(self, rows, default, match):
+        # the first two would serve a row of mass 0.5; the last two could
+        # never be reached
+        with pytest.raises(ValueError, match=match):
+            TableModel(self.VOCAB, rows, default)
+
+    @pytest.mark.parametrize("target", ["zz", "<s>"])
+    def test_counts_name_only_extension_tokens(self, target):
+        # {"a": 1, "zz": 5} would serve a row of mass 0.286
+        with pytest.raises(ValueError, match=f"history '<s>' names '{target}'"):
+            NgramModel(self.VOCAB, 2, 0.5, {"a": {"a": 1}, "<s>": {"a": 1, target: 5}})
+
     def test_zero_count_is_accepted(self):
         model = NgramModel(self.VOCAB, 2, 0.5, {"<s>": {"a": 0, "</s>": 2}})
         row = model.next_logprobs("", (0,))
@@ -272,9 +290,10 @@ class TestRowBoundaries:
 
     def test_ngram_rows_are_checked_where_they_are_made(self):
         # a model changed after construction still cannot reach a decoder
-        # with a bad row: 0.6 / (-1 + 0.6 * 2) is 3, and alpha NaN is NaN
+        # with a bad row: (1 + 0.6) / (1 - 1 + 0.6 * 2) is 4/3, and alpha
+        # NaN is NaN
         model = NgramModel(self.VOCAB, 2, 0.6, {"<s>": {"a": 1}, "a": {"a": 1}})
-        model.counts["<s>"] = {"zz": -1}
+        model.counts["<s>"]["zz"] = -1
         with pytest.raises(ValueError, match="must be <= 0 and not NaN"):
             model.next_logprobs("", (0,))
         model.alpha = math.nan
