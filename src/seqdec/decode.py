@@ -89,12 +89,12 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
             t0: float) -> DecodeResult:
     """The search loop beam, LBS and LHBS share, in both modes.
 
-    Each step ranks the whole beam's candidates with one ``_ranked``
-    call, so the step's rows come from one batch. ``pick(beam, entries,
-    n)`` returns the entries the strategy keeps, in its own order: the
-    next beam in raw mode (n = k), which runs ``max_len`` fixed steps;
-    the popped candidates in practical mode (n = 2k), which routes the
-    complete ones to the finished pool.
+    Each step ranks the whole beam's candidates in one ``_ranked`` call
+    (one batch), and ``pick(beam, entries, n)`` returns the entries the
+    strategy keeps, in its own order: the next beam in raw mode (n = k),
+    which runs ``max_len`` fixed steps; the popped candidates in
+    practical mode (n = 2k), which routes the complete ones to the
+    finished pool.
     """
     k = config.beam_width
     eos = counted.vocabulary.eos_id
@@ -295,8 +295,7 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
 
     def pick(beam, entries, _):
         prev = canonical_sorted(beam)
-        # the children of slot i's parent; a stable split keeps them in
-        # canonical order, and a slot past the previous beam has none
+        # slot i's own children, in canonical order as the split is stable
         rank = {h.tokens: i for i, h in enumerate(prev)}
         children: list[list[_Entry]] = [[] for _ in range(config.beam_width)]
         for e in entries:

@@ -70,9 +70,9 @@ class _JsonModel:
 class TableModel(_JsonModel):
     """Explicit lookup-table model, the workhorse test fixture.
 
-    Rows are keyed by the space-joined post-BOS prefix, looked up as a
-    tuple of token ids built once here; unlisted prefixes fall back to
-    ``default_row``. The context string is ignored.
+    Rows are keyed by the space-joined post-BOS prefix, looked up as its
+    token ids; unlisted prefixes fall back to ``default_row``. The
+    context string is ignored.
     """
 
     def __init__(self, vocabulary: Vocabulary, rows: dict[str, dict[str, float]],
@@ -142,12 +142,11 @@ class NgramModel(_JsonModel):
     order-1 tokens. Conditional probability is
     (count(ctx, y) + alpha) / (count(ctx, .) + alpha * |extension set|).
 
-    The count histories are looked up as token-id tuples, built once
-    here, with words outside the vocabulary kept as strings. A count
-    history's row is computed on its first call and kept, keyed on the
-    same tuple, so memory grows with the count histories a decode
-    visits, not with histories x vocabulary; every unseen history shares
-    one row, built at construction. Within a row, every token the
+    Count histories are looked up as token ids (a word outside the
+    vocabulary stays a string), and a history's row is computed on its
+    first call and kept, so memory grows with the count histories a
+    decode visits, not with histories x vocabulary; every unseen history
+    shares one row, built at construction. Within a row, every token the
     history never saw shares one float object.
     """
 
