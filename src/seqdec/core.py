@@ -7,6 +7,7 @@ Zero probability is represented by ``float('-inf')``.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -69,8 +70,11 @@ class Vocabulary:
             raise ValueError("BOS/EOS ids out of range")
         if len(set(self.tokens)) != n:
             raise ValueError("token strings must be unique")
-        if any(not t for t in self.tokens):
-            raise ValueError("token strings must be non-empty")
+        # model files join tokens with spaces, so a token holding whitespace
+        # would read as several tokens
+        bad = [t for t in self.tokens if t.split() != [t]]
+        if bad:
+            raise ValueError(f"token {bad[0]!r} is empty or contains whitespace")
         object.__setattr__(self, "token_ids", {t: i for i, t in enumerate(self.tokens)})
         ext = tuple(i for i in range(n) if i != self.bos_id)
         object.__setattr__(self, "extension_ids", ext)
@@ -98,6 +102,8 @@ class Row(tuple):
     ``dict(row)`` is ``{extension id: log-probability}``.
     """
 
+    _ranked: tuple[int, ...] | None = None
+
     @classmethod
     def of(cls, vocab: Vocabulary, lps: Iterable[float]) -> Row:
         """The row of ``lps``, given in extension-id order; a positive or
@@ -119,6 +125,14 @@ class Row(tuple):
 
     def items(self):
         return zip(self.keys(), self.values())
+
+    def ranked(self) -> tuple[int, ...]:
+        """The extension ids by log-probability descending, then id,
+        computed on the first call and kept with the row."""
+        if self._ranked is None:
+            # stable, so equal log-probabilities keep id order
+            self._ranked = tuple(sorted(self.keys(), key=self.__getitem__, reverse=True))
+        return self._ranked
 
 
 @dataclass(frozen=True)
@@ -219,9 +233,18 @@ class MetricsRecord:
     nll: float
     length: int
     perplexity: float
-    uid_error: float
+    step_logprobs: tuple[float, ...] = field(repr=False)
     scorer_calls: int
     wall_time_ms: float = 0.0
+
+    @property
+    def uid_error(self) -> float:
+        """Population standard deviation of the per-step surprisals, inf
+        when the NLL is; computed when read, as ``metrics.uid_error`` does."""
+        if math.isinf(self.nll):
+            return math.inf
+        surprisals = [-lp for lp in self.step_logprobs]
+        return statistics.pstdev(surprisals) if surprisals else 0.0
 
 
 @dataclass(frozen=True)

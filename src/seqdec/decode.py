@@ -20,8 +20,8 @@ Two execution modes are supported:
 from __future__ import annotations
 
 import math
-import statistics
 import time
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -45,15 +45,10 @@ from seqdec.scorers import CountingScorer, Scorer
 def _metrics(best: Hypothesis, calls: int, wall_ms: float) -> MetricsRecord:
     nll = -best.cum_logprob
     length = best.length
-    if math.isinf(nll):
-        ppl = math.inf
-        uid = math.inf
-    else:
-        ppl = math.exp(nll / length)
-        surprisals = [-lp for lp in best.step_logprobs]
-        uid = statistics.pstdev(surprisals) if surprisals else 0.0
+    ppl = math.inf if math.isinf(nll) else math.exp(nll / length)
     return MetricsRecord(nll=nll, length=length, perplexity=ppl,
-                         uid_error=uid, scorer_calls=calls, wall_time_ms=wall_ms)
+                         step_logprobs=best.step_logprobs, scorer_calls=calls,
+                         wall_time_ms=wall_ms)
 
 
 def _result(best: Hypothesis, finished: Sequence[Hypothesis],
@@ -76,7 +71,7 @@ def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Dec
     h = Hypothesis.initial(vocab)
     for _ in range(config.max_len):
         row = counted.next_logprobs(inp.context, h.tokens)
-        best_tid = min(vocab.extension_ids, key=lambda tid: (-row[tid], tid))
+        best_tid = row.ranked()[0]
         h = extend(h, best_tid, row[best_tid], vocab.eos_id)
         if h.complete:
             break
@@ -90,8 +85,9 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
     """The search loop beam, LBS and LHBS share, in both modes.
 
     Each step ranks the whole beam's candidates in one ``_ranked`` call
-    (one batch), and ``pick(beam, entries, n)`` returns the entries the
-    strategy keeps, in its own order: the next beam in raw mode (n = k),
+    (one batch), and ``pick(beam, entries, n)`` reads the ranked entries
+    as far as it needs and returns the ones the strategy keeps, in its
+    own order: the next beam in raw mode (n = k),
     which runs ``max_len`` fixed steps; the popped candidates in
     practical mode (n = 2k), which routes the complete ones to the
     finished pool.
@@ -127,43 +123,59 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
 # canonical order without a Hypothesis being built.
 _Entry = tuple[float, tuple[int, ...], Hypothesis, Optional[float]]
 _canonical = itemgetter(0, 1)
-_score = itemgetter(0)
 _tokens = attrgetter("tokens")
 
 
 def _ranked(counted: CountingScorer, context: str,
-            beam: Sequence[Hypothesis]) -> list[_Entry]:
-    """Every candidate of one beam step, in canonical order.
+            beam: Sequence[Hypothesis]) -> Iterator[_Entry]:
+    """Every candidate of one beam step, in canonical order, built as
+    it is read.
 
-    Entries are generated parent by parent in token order, each parent's
-    children by token id, and then sorted on the score alone. The sort
-    is stable, so equal scores keep generation order, and generation
-    order is canonical (token) order: no beam member's tokens are a
-    proper prefix of another's, because a complete raw slot ends in EOS
-    and every other slot has the same length, so two parents first
-    differ at a position that both of their candidates keep.
+    Scores are listed parent by parent in token order, each parent's
+    children by token id, and their positions are sorted on the score
+    alone. The sort is stable, so equal scores keep generation order,
+    and generation order is canonical (token) order: no beam member's
+    tokens are a proper prefix of another's, because a complete raw slot
+    ends in EOS and every other slot has the same length, so two parents
+    first differ at a position that both of their candidates keep. An
+    entry, with its token tuple, is built only when it is read, so a
+    strategy that takes a few pays for those few.
 
-    The incomplete parents' rows come from one batch call, so a remote
-    scorer answers the step in one round trip. A complete beam slot (raw
-    mode only) costs one logical call, but the model is not asked: its
-    row would be discarded. Rows are read as they are, unchecked: every
-    ``Row`` was validated where it was made.
+    The incomplete parents' rows come from one batch call, made before
+    this returns, so a remote scorer answers the step in one round trip.
+    A complete beam slot (raw mode only) costs one logical call, but the
+    model is not asked: its row would be discarded. Rows are read as
+    they are, unchecked: every ``Row`` was validated where it was made.
     """
     ext, values = counted.vocabulary.extension_ids, counted.vocabulary.extension_values
     beam = sorted(beam, key=_tokens)
     prefixes = [h.tokens for h in beam if not h.complete]
     rows = iter(counted.next_logprobs_batch(context, prefixes) if prefixes else ())
-    entries: list[_Entry] = []
+    # one position per candidate, in generation order
+    negs: list[float] = []
+    parents: list[Hypothesis] = []
+    tids: list[Optional[int]] = []
+    lps: list[Optional[float]] = []
     for h in beam:
         if h.complete:
             counted.charge()
-            entries.append((-h.cum_logprob, h.tokens, h, None))
+            negs.append(-h.cum_logprob)
+            parents.append(h)
+            tids.append(None)
+            lps.append(None)
             continue
-        cum, tokens = h.cum_logprob, h.tokens
-        entries += [(-(cum + lp), tokens + (tid,), h, lp)
-                    for tid, lp in zip(ext, values(next(rows)))]
-    entries.sort(key=_score)
-    return entries
+        cum, row_lps = h.cum_logprob, values(next(rows))
+        negs += [-(cum + lp) for lp in row_lps]
+        parents += [h] * len(ext)
+        tids += ext
+        lps += row_lps
+
+    def entries() -> Iterator[_Entry]:
+        for i in sorted(range(len(negs)), key=negs.__getitem__):
+            h, lp = parents[i], lps[i]
+            yield negs[i], h.tokens if lp is None else h.tokens + (tids[i],), h, lp
+
+    return entries()
 
 
 def _hypothesis(entry: _Entry, eos_id: int) -> Hypothesis:
@@ -175,7 +187,7 @@ def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
     """Top-k beam search."""
     t0 = time.perf_counter()
     return _search(CountingScorer(scorer), inp.context, config,
-                   lambda beam, entries, n: entries[:n], t0)
+                   lambda beam, entries, n: islice(entries, n), t0)
 
 
 def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], cum: float,
@@ -187,39 +199,56 @@ def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], c
     iterator over its node's children, by score descending, then token
     id, and the path is held once, so memory is linear in ``d``.
     """
-    vocab = counted.vocabulary
-    eos = vocab.eos_id
+    eos = counted.vocabulary.eos_id
     if d == 0 or tokens[-1] == eos:
         return max(cum, f_max)
 
-    def level(cum: float, row: Row) -> Iterator[tuple[float, int]]:
-        return iter(sorted([(-(cum + lp), tid) for tid, lp in
-                            zip(vocab.extension_ids, vocab.extension_values(row))]))
-
     # A node whose children are leaves needs no level: each child would
     # only raise f_max to its own score, and the best child's score is
-    # cum + max(row) since addition is monotone (the BOS slot's -inf
-    # never wins).
+    # cum + the row's first-ranked log-probability, since addition is
+    # monotone.
     row = counted.next_logprobs(context, tokens)
     if d == 1:
-        return max(f_max, cum + max(row))
-    path, stack = list(tokens), [level(cum, row)]
+        return max(f_max, cum + row[row.ranked()[0]])
+    path, stack = list(tokens), [_children(cum, row)]
     while stack:
         child = next(stack[-1], None)
-        if child is None or -child[0] < f_max:  # done, or the rest scores lower still
+        if child is None or child[0] < f_max:  # done, or the rest scores lower still
             del stack[-1], path[-1]
             continue
-        neg, tid = child
+        score, tid = child
         if tid == eos:
-            f_max = max(f_max, -neg)
+            f_max = max(f_max, score)
             continue
         row = counted.next_logprobs(context, (*path, tid))
         if len(stack) == d - 1:
-            f_max = max(f_max, -neg + max(row))
+            f_max = max(f_max, score + row[row.ranked()[0]])
         else:
             path.append(tid)
-            stack.append(level(-neg, row))
+            stack.append(_children(score, row))
     return f_max
+
+
+def _children(cum: float, row: Row) -> Iterator[tuple[float, int]]:
+    """(score, token id) of each child of a node scored ``cum``, by score
+    descending, then token id, read lazily off the row's kept ranking.
+    Addition is monotone, so scores come in order, but two distinct
+    log-probabilities may round to one score: each run of equal scores
+    is sorted by id."""
+    order = row.ranked()
+    n, i = len(order), 0
+    while i < n:
+        tid = order[i]
+        score = cum + row[tid]
+        j = i + 1
+        while j < n and cum + row[order[j]] == score:
+            j += 1
+        if j == i + 1:
+            yield score, tid
+        else:
+            for tid in sorted(order[i:j]):
+                yield cum + row[tid], tid
+        i = j
 
 
 def eval_lookahead(scorer: Scorer, context: str, h: Hypothesis, d: int,
@@ -257,13 +286,14 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
         current score descending, so the scan stops at the first whose
         current score already falls below the running n-th best total."""
         scored: list[tuple[float, _Entry]] = []
+        bar = NEG_INF  # the n-th best total so far
         for entry in entries:
-            bar = kth_max([f for f, _ in scored], n)
             if -entry[0] < bar:
                 break
             f = _lookahead(counted, inp.context, entry[1], -entry[0], d, bar)
             if f > bar or len(scored) < n:
                 scored.append((f, entry))
+                bar = kth_max([f for f, _ in scored], n)
         # stable: equal totals keep the canonical order of the scan
         scored.sort(key=lambda fe: -fe[0])
         return [e for _, e in scored[:n]]

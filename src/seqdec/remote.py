@@ -27,7 +27,10 @@ a NaN fails it) and no positive value. A request the server cannot
 answer (bad JSON, a NaN or Infinity in it, no "prefixes" list, an
 unknown token or a prefix without BOS anywhere in the batch, a scorer
 row that ``CountingScorer`` refuses) gets one reply, {"id": uint or
-null, "error": str}, and the connection stays open.
+null, "error": str}, and the connection stays open. A request line
+longer than ``MAX_REQUEST_BYTES`` (newline included) gets the error
+reply with id null, and the server closes the connection: it reads no
+more of the line, so it cannot find where the next request begins.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from seqdec.scorers import CountingScorer, Scorer
 
 #: Reads a response line with every JSON number as a float.
 _read_response = json.JSONDecoder(parse_int=float).decode
+
+#: The longest request line, newline included, that the server reads.
+MAX_REQUEST_BYTES = 8 * 2**20
 
 
 class RemoteScorer:
@@ -157,6 +163,10 @@ def _prefix(token_ids: dict[str, int], prefix) -> tuple[int, ...]:
     return tuple(token_ids[t] for t in prefix)
 
 
+def _error_reply(req_id, message: str) -> bytes:
+    return json.dumps({"id": req_id, "error": message}, allow_nan=False).encode("utf-8") + b"\n"
+
+
 def _respond(counted: CountingScorer, line: bytes) -> bytes:
     """The encoded response to one request line: its rows, or an error
     naming what was wrong with the request."""
@@ -177,19 +187,21 @@ def _respond(counted: CountingScorer, line: bytes) -> bytes:
                 for row in counted.next_logprobs_batch(context, prefixes)]
         response = json.dumps({"id": req_id, "rows": rows}, allow_nan=False)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        response = json.dumps({"id": req_id, "error": f"{type(exc).__name__}: {exc}"},
-                              allow_nan=False)
+        return _error_reply(req_id, f"{type(exc).__name__}: {exc}")
     return response.encode("utf-8") + b"\n"
 
 
 class _ScorerRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         counted = CountingScorer(self.server.scorer)  # type: ignore[attr-defined]
-        for line in self.rfile:
-            if not line.strip():
-                continue
-            self.wfile.write(_respond(counted, line))
-            self.wfile.flush()
+        while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+            if len(line) > MAX_REQUEST_BYTES:
+                self.wfile.write(_error_reply(
+                    None, f"ValueError: request line longer than {MAX_REQUEST_BYTES} bytes"))
+                return  # the connection closes
+            if line.strip():
+                self.wfile.write(_respond(counted, line))
+                self.wfile.flush()
 
 
 class ScorerServer(socketserver.ThreadingTCPServer):

@@ -77,6 +77,19 @@ class BatchRecorder:
         return [self.model.next_logprobs(context, p) for p in prefixes]
 
 
+class PrefixRecorder:
+    """A model's rows, recording every prefix asked, in order."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocabulary = model.vocabulary
+        self.asked = []
+
+    def next_logprobs(self, context, prefix):
+        self.asked.append(tuple(prefix))
+        return self.model.next_logprobs(context, prefix)
+
+
 def one_hot_model(token: str = "a") -> TableModel:
     """Deterministic scorer always emitting `token` with probability 1."""
     vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])

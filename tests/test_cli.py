@@ -133,6 +133,26 @@ def test_model_naming_a_token_outside_the_vocabulary_exits_2(tmp_path, capsys, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scorer,obj", [
+    ("table", {"vocab": ["<s>", "a b", "a", "b", "</s>"], "rows": {"a b": {"</s>": 1.0}},
+               "default": {"a b": 0.25, "a": 0.25, "b": 0.25, "</s>": 0.25}}),
+    ("ngram", {"vocab": ["<s>", "a b", "a", "b", "</s>"], "order": 2, "alpha": 0.5,
+               "counts": {"<s>": {"a b": 1}}}),
+])
+def test_model_with_whitespace_in_a_token_exits_2(tmp_path, capsys, scorer, obj):
+    # a space-joined key could not tell the token "a b" from [a, b]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "s1", "context": ""}\n')
+    out = tmp_path / "out.jsonl"
+    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3", "--scorer", scorer,
+               "--model", str(model), "--input", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert "whitespace" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTrainCommand:
     def test_roundtrip_and_determinism(self, tmp_path):
         corpus = tmp_path / "text.txt"

@@ -140,6 +140,13 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(("x", "x", "y"), 0, 2)
 
+    @pytest.mark.parametrize("token", ["a b", " a", "a\t", "a\nb", "a\xa0b", ""])
+    def test_rejects_an_empty_token_or_whitespace_in_one(self, token):
+        # model files join tokens with spaces: over <s>, "a b", a, b, </s>
+        # the row key "a b" would mean both [a b] and [a, b]
+        with pytest.raises(ValueError, match="whitespace"):
+            Vocabulary.from_tokens(["<s>", token, "a", "b", "</s>"])
+
     def test_extension_ids_exclude_bos(self):
         v = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
         assert v.bos_id not in v.extension_ids

@@ -10,15 +10,21 @@ import pytest
 
 from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, Hypothesis, Vocabulary, extend
 from seqdec.decode import (
+    _ranked,
     beam_decode,
     eval_lookahead,
     exhaustive_decode,
     lbs_decode,
     lhbs_decode,
 )
-from seqdec.scorers import CountingScorer
+from seqdec.scorers import CountingScorer, TableModel
 
-from conftest import lbs_reference_decode, random_table_model, reference_eval_lookahead
+from conftest import (
+    PrefixRecorder,
+    lbs_reference_decode,
+    random_table_model,
+    reference_eval_lookahead,
+)
 
 SEEDS = range(200)
 INP = DecodeInput("k0")
@@ -111,6 +117,28 @@ def test_exact_ties_follow_the_canonical_order():
             assert got.final_beam == tuple(ref_beam), (seed, d)
         assert beam_decode(scorer, INP, raw("beam", k, n_max=5)).final_beam == \
             lbs_decode(scorer, INP, raw("lbs", k, n_max=5)).final_beam, seed
+
+
+def test_scores_that_round_together_follow_token_order():
+    # at -2**53 doubles are 2 apart, so the distinct log-probabilities of
+    # a (log 0.4) and b (log 0.5) add up to one score: the row ranks b
+    # first, the canonical order puts a first
+    vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+    model = TableModel(vocab, {}, {"a": 0.4, "b": 0.5, "</s>": 0.1})
+    h = Hypothesis((vocab.bos_id,), -2.0**53, (), False)
+    row = model.next_logprobs("", h.tokens)
+    a, b = vocab.token_ids["a"], vocab.token_ids["b"]
+    assert row[b] > row[a] and h.cum_logprob + row[a] == h.cum_logprob + row[b]
+    for d in (1, 2, 3):
+        got, want = CountingScorer(PrefixRecorder(model)), CountingScorer(PrefixRecorder(model))
+        assert (eval_lookahead(got, "", h, d).hex()
+                == reference_eval_lookahead(want, "", h, d).hex())
+        assert got.inner.asked == want.inner.asked, d
+        assert got.calls == want.calls
+    entries = list(_ranked(CountingScorer(model), "", [h]))
+    full = sorted((-(h.cum_logprob + row[tid]), h.tokens + (tid,)) for tid in vocab.extension_ids)
+    assert [(neg, tokens) for neg, tokens, _, _ in entries] == full
+    assert [tokens[-1] for _, tokens, _, _ in entries] == [a, b, vocab.eos_id]
 
 
 class ModelCalls:

@@ -1,8 +1,9 @@
 import math
+import statistics
 
 import pytest
 
-from seqdec.core import DecodeConfig, DecodeInput
+from seqdec.core import VALID_STRATEGIES, DecodeConfig, DecodeInput
 from seqdec.decode import decode
 from seqdec.metrics import (
     CSV_HEADER,
@@ -81,6 +82,28 @@ class TestMetricsRecord:
                 assert m.perplexity == math.exp(m.nll / m.length)
                 assert m.length == len(r.best.tokens) - 1
                 assert m.scorer_calls == r.scorer_calls
+
+    def test_a_decode_computes_no_uid_error(self, inp, monkeypatch):
+        def refuse(data):
+            raise AssertionError("statistics.pstdev called by a decode")
+        monkeypatch.setattr(statistics, "pstdev", refuse)
+        model = random_table_model(0, 4, 4)
+        for strategy in VALID_STRATEGIES:
+            for mode in ("raw", "practical"):
+                decode(model, inp, DecodeConfig(beam_width=2, lookahead_depth=1, max_len=4,
+                                                strategy=strategy, mode=mode))
+
+    def test_uid_error_read_equals_metrics_uid_error_bit_exact(self, inp):
+        # the one-hot model's practical decodes end in EOS at -inf: UID inf
+        models = [random_table_model(seed, 4, 4, allow_zero=(seed % 2 == 1))
+                  for seed in range(20)]
+        for model in models + [one_hot_model()]:
+            for strategy in VALID_STRATEGIES:
+                for mode in ("raw", "practical"):
+                    r = decode(model, inp, DecodeConfig(beam_width=2, lookahead_depth=1,
+                                                        max_len=4, strategy=strategy, mode=mode))
+                    want = uid_error(surprisal_series(model, inp, r.best.tokens))
+                    assert r.metrics.uid_error.hex() == want.hex(), (strategy, mode)
 
 
 class TestCompareStrategies:

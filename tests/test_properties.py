@@ -14,7 +14,7 @@ from seqdec.core import NEG_INF, Hypothesis, Vocabulary, extend  # noqa: E402
 from seqdec.decode import _hypothesis, _ranked, eval_lookahead  # noqa: E402
 from seqdec.scorers import CountingScorer, NgramModel, TableModel, UniformModel  # noqa: E402
 
-from conftest import reference_eval_lookahead  # noqa: E402
+from conftest import PrefixRecorder, reference_eval_lookahead  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -157,7 +157,7 @@ def test_ranked_equals_the_full_canonical_sort(model, k, mode, data):
     for _ in range(4):
         shuffled = data.draw(st.permutations(beam))
         counted, ref_counted = CountingScorer(model), CountingScorer(model)
-        entries = _ranked(counted, "", shuffled)
+        entries = list(_ranked(counted, "", shuffled))
         assert _plain(entries) == _plain(reference_ranked(ref_counted, "", beam))
         assert counted.calls == ref_counted.calls == len(beam)
         beam = [_hypothesis(e, eos) for e in entries[:k]]
@@ -165,19 +165,6 @@ def test_ranked_equals_the_full_canonical_sort(model, k, mode, data):
             beam = [h for h in beam if not h.complete]
         if not beam:
             break
-
-
-class PrefixRecorder:
-    """A model's rows, recording every prefix asked, in order."""
-
-    def __init__(self, model):
-        self.model = model
-        self.vocabulary = model.vocabulary
-        self.asked = []
-
-    def next_logprobs(self, context, prefix):
-        self.asked.append(tuple(prefix))
-        return self.model.next_logprobs(context, prefix)
 
 
 @PROPERTY

@@ -8,7 +8,7 @@ import pytest
 
 from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, ScorerTransportError, Vocabulary
 from seqdec.decode import beam_decode, decode
-from seqdec.remote import RemoteScorer, ScorerServer
+from seqdec.remote import MAX_REQUEST_BYTES, RemoteScorer, ScorerServer
 from seqdec.scorers import TableModel
 
 from conftest import BatchRecorder, make_tiny3, random_table_model
@@ -292,6 +292,31 @@ class TestServerErrorReplies:
             assert client.next_logprobs("", (0,)) == model.next_logprobs("", (0,))
         finally:
             client.close()
+
+
+def test_overlong_request_line_gets_one_error_and_the_connection_closes(served_tiny3):
+    # 40 MB without a newline: the server stops reading at its limit
+    # instead of buffering the whole line
+    _, address = served_tiny3
+    with socket.create_connection(address, timeout=10.0) as sock:
+        def send():
+            try:
+                sock.sendall(b'{"id": 1, "context": "' + b"x" * 40_000_000)
+            except OSError:  # the server closed the connection first
+                pass
+        sender = threading.Thread(target=send)
+        sender.start()
+        with sock.makefile("rb") as f:
+            reply = json.loads(f.readline())
+            try:
+                rest = f.readline()
+            except ConnectionResetError:
+                rest = b""
+        sender.join(timeout=10.0)
+    assert not sender.is_alive()
+    assert reply == {"id": None, "error": f"ValueError: request line longer than "
+                                          f"{MAX_REQUEST_BYTES} bytes"}
+    assert rest == b""
 
 
 def _strict_loads(data):
