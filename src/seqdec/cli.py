@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -27,7 +28,7 @@ from seqdec.core import (
     Vocabulary,
 )
 from seqdec.decode import decode
-from seqdec.metrics import compare_strategies, rows_to_csv
+from seqdec.metrics import compare_strategies, perplexity, rows_to_csv, step_uid_error
 from seqdec.oracle import brute_force_map, enumerate_all
 from seqdec.remote import RemoteScorer
 from seqdec.scorers import load_model, train_ngram
@@ -40,11 +41,6 @@ EXIT_BUDGET = 4
 
 class UsageError(Exception):
     pass
-
-
-def _default_budget() -> int:
-    env = os.environ.get("SEQDEC_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -72,12 +68,21 @@ def _read_corpus(path: str) -> list[DecodeInput]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise UsageError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise UsageError(f"{path}:{lineno}: record is not a JSON object")
                 if "id" not in obj:
                     raise UsageError(f"{path}:{lineno}: record missing 'id'")
-                if obj["id"] in seen:
-                    raise UsageError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
-                seen.add(obj["id"])
-                inputs.append(DecodeInput(id=str(obj["id"]), context=obj.get("context", "")))
+                # exact types: a JSON boolean is not a number
+                if type(obj["id"]) not in (str, int, float):
+                    raise UsageError(f"{path}:{lineno}: 'id' must be a string or a number")
+                context = obj.get("context", "")
+                if not isinstance(context, str):
+                    raise UsageError(f"{path}:{lineno}: 'context' must be a string")
+                rid = str(obj["id"])  # the id as it is written
+                if rid in seen:
+                    raise UsageError(f"{path}:{lineno}: duplicate id {rid!r}")
+                seen.add(rid)
+                inputs.append(DecodeInput(id=rid, context=context))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return inputs
@@ -127,18 +132,20 @@ def cmd_decode(args) -> int:
                               mode=args.mode, budget=args.budget)
         lines = []
         for inp in corpus:
+            t0 = time.perf_counter()
             result = decode(scorer, inp, config)
-            m = result.metrics
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            best = result.best
             record = {
                 "id": inp.id,
-                "tokens": scorer.vocabulary.to_strings(result.best.tokens[1:]),
-                "score": _json_float(result.best.cum_logprob),
-                "nll": _json_float(m.nll),
-                "ppl": _json_float(m.perplexity),
-                "uid_error": _json_float(m.uid_error),
-                "length": m.length,
-                "scorer_calls": m.scorer_calls,
-                "wall_time_ms": m.wall_time_ms,
+                "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
+                "score": _json_float(best.cum_logprob),
+                "nll": _json_float(-best.cum_logprob),
+                "ppl": _json_float(perplexity(best)),
+                "uid_error": _json_float(step_uid_error(best)),
+                "length": best.length,
+                "scorer_calls": result.scorer_calls,
+                "wall_time_ms": wall_ms,
                 "strategy": args.strategy,
                 "k": args.k,
                 "d": args.d,
@@ -205,8 +212,8 @@ def cmd_oracle(args) -> int:
         lines = []
         for inp in corpus:
             if args.enumerate:
-                enum = enumerate_all(scorer, inp, args.max_len, budget=args.budget)
-                for tokens, score in enum.all_complete:
+                for tokens, score in enumerate_all(scorer, inp, args.max_len,
+                                                   budget=args.budget):
                     lines.append(json.dumps({
                         "id": inp.id,
                         "tokens": scorer.vocabulary.to_strings(tokens[1:]),
@@ -237,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", required=True, help="output path")
         p.add_argument("--max-len", dest="max_len", type=int, default=32)
         p.add_argument("--mode", choices=VALID_MODES, default="practical")
-        p.add_argument("--budget", type=int, default=_default_budget())
+        # a string default goes through type=int, so a bad value exits 2
+        p.add_argument("--budget", type=int,
+                       default=os.environ.get("SEQDEC_BUDGET") or DEFAULT_BUDGET)
         if needs_strategy:
             p.add_argument("--strategy", required=True, choices=VALID_STRATEGIES)
             p.add_argument("--k", type=int, default=1)

@@ -7,7 +7,6 @@ Zero probability is represented by ``float('-inf')``.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -97,9 +96,9 @@ class Vocabulary:
 class Row(tuple):
     """A validated next-token row: log-probabilities indexed by token id
     over the whole vocabulary, -inf in the BOS slot. A tuple is read-only,
-    so a row is shared between calls and read as it is. ``keys()``,
-    ``values()`` and ``items()`` run over the extension ids, so
-    ``dict(row)`` is ``{extension id: log-probability}``.
+    so a row is shared between calls and read as it is. ``keys()`` and
+    ``values()`` run over the extension ids, so ``dict(row)`` is
+    ``{extension id: log-probability}``.
     """
 
     _ranked: tuple[int, ...] | None = None
@@ -122,9 +121,6 @@ class Row(tuple):
 
     def values(self) -> tuple[float, ...]:
         return self.vocabulary.extension_values(self)
-
-    def items(self):
-        return zip(self.keys(), self.values())
 
     def ranked(self) -> tuple[int, ...]:
         """The extension ids by log-probability descending, then id,
@@ -229,28 +225,8 @@ class DecodeConfig:
 
 
 @dataclass(frozen=True)
-class MetricsRecord:
-    nll: float
-    length: int
-    perplexity: float
-    step_logprobs: tuple[float, ...] = field(repr=False)
-    scorer_calls: int
-    wall_time_ms: float = 0.0
-
-    @property
-    def uid_error(self) -> float:
-        """Population standard deviation of the per-step surprisals, inf
-        when the NLL is; computed when read, as ``metrics.uid_error`` does."""
-        if math.isinf(self.nll):
-            return math.inf
-        surprisals = [-lp for lp in self.step_logprobs]
-        return statistics.pstdev(surprisals) if surprisals else 0.0
-
-
-@dataclass(frozen=True)
 class DecodeResult:
     best: Hypothesis
     finished: tuple[Hypothesis, ...]
     final_beam: tuple[Hypothesis, ...]
     scorer_calls: int
-    metrics: MetricsRecord = field(compare=False, default=None)

@@ -19,8 +19,6 @@ Two execution modes are supported:
 
 from __future__ import annotations
 
-import math
-import time
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
@@ -31,7 +29,6 @@ from seqdec.core import (
     DecodeInput,
     DecodeResult,
     Hypothesis,
-    MetricsRecord,
     Row,
     canonical_best,
     canonical_sorted,
@@ -42,30 +39,13 @@ from seqdec.core import (
 from seqdec.scorers import CountingScorer, Scorer
 
 
-def _metrics(best: Hypothesis, calls: int, wall_ms: float) -> MetricsRecord:
-    nll = -best.cum_logprob
-    length = best.length
-    ppl = math.inf if math.isinf(nll) else math.exp(nll / length)
-    return MetricsRecord(nll=nll, length=length, perplexity=ppl,
-                         step_logprobs=best.step_logprobs, scorer_calls=calls,
-                         wall_time_ms=wall_ms)
-
-
 def _result(best: Hypothesis, finished: Sequence[Hypothesis],
-            beam: Sequence[Hypothesis], calls: int, t0: float) -> DecodeResult:
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return DecodeResult(
-        best=best,
-        finished=tuple(canonical_sorted(finished)),
-        final_beam=tuple(beam),
-        scorer_calls=calls,
-        metrics=_metrics(best, calls, wall_ms),
-    )
+            beam: Sequence[Hypothesis], calls: int) -> DecodeResult:
+    return DecodeResult(best, tuple(canonical_sorted(finished)), tuple(beam), calls)
 
 
 def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Pick the single most probable token at every step."""
-    t0 = time.perf_counter()
     counted = CountingScorer(scorer)
     vocab = counted.vocabulary
     h = Hypothesis.initial(vocab)
@@ -76,12 +56,11 @@ def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Dec
         if h.complete:
             break
     finished = [h] if h.complete else []
-    return _result(h, finished, (h,), counted.calls, t0)
+    return _result(h, finished, (h,), counted.calls)
 
 
 def _search(counted: CountingScorer, context: str, config: DecodeConfig,
-            pick: Callable[[list[Hypothesis], list[_Entry], int], list[_Entry]],
-            t0: float) -> DecodeResult:
+            pick: Callable[[list[Hypothesis], list[_Entry], int], list[_Entry]]) -> DecodeResult:
     """The search loop beam, LBS and LHBS share, in both modes.
 
     Each step ranks the whole beam's candidates in one ``_ranked`` call
@@ -103,7 +82,7 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
         for _ in range(config.max_len):
             beam = step(beam, k)
         finished = [h for h in beam if h.complete]
-        return _result(canonical_best(finished or beam), finished, beam, counted.calls, t0)
+        return _result(canonical_best(finished or beam), finished, beam, counted.calls)
     finished: list[Hypothesis] = []
     for _ in range(config.max_len):
         popped = step(beam, 2 * k)
@@ -114,7 +93,7 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
         if finished and max(h.cum_logprob for h in beam) <= finished[0].cum_logprob:
             break
     best = finished[0] if finished else canonical_best(beam)
-    return _result(best, finished, beam, counted.calls, t0)
+    return _result(best, finished, beam, counted.calls)
 
 
 # A ranked candidate is (-score, tokens, parent, logprob): the child of
@@ -185,9 +164,8 @@ def _hypothesis(entry: _Entry, eos_id: int) -> Hypothesis:
 
 def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Top-k beam search."""
-    t0 = time.perf_counter()
     return _search(CountingScorer(scorer), inp.context, config,
-                   lambda beam, entries, n: islice(entries, n), t0)
+                   lambda beam, entries, n: islice(entries, n))
 
 
 def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], cum: float,
@@ -275,7 +253,6 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     Refuses when the extension-token count raised to the lookahead depth
     exceeds the budget.
     """
-    t0 = time.perf_counter()
     counted = CountingScorer(scorer)
     d = config.lookahead_depth
     check_budget(len(counted.vocabulary.extension_ids), d, config.budget)
@@ -298,7 +275,7 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
         scored.sort(key=lambda fe: -fe[0])
         return [e for _, e in scored[:n]]
 
-    return _search(counted, inp.context, config, pick, t0)
+    return _search(counted, inp.context, config, pick)
 
 
 def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
@@ -318,7 +295,6 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
     If ``trace`` is a list, a per-step record is appended with the sorted
     previous beam and each slot's pool snapshot and popped candidates.
     """
-    t0 = time.perf_counter()
     counted = CountingScorer(scorer)
     eos = counted.vocabulary.eos_id
     pops = 1 if config.mode == "raw" else 2
@@ -346,7 +322,7 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
             trace.append({"prev": prev, "slots": slots})
         return popped if config.mode == "raw" else sorted(popped, key=_canonical)
 
-    return _search(counted, inp.context, config, pick, t0)
+    return _search(counted, inp.context, config, pick)
 
 
 def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
@@ -360,7 +336,6 @@ def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) ->
     for desk-scale instances only: refuses when the extension-token
     count raised to max_len exceeds the budget.
     """
-    t0 = time.perf_counter()
     counted = CountingScorer(scorer)
     vocab = counted.vocabulary
     check_budget(len(vocab.extension_ids), config.max_len, config.budget)
@@ -388,7 +363,7 @@ def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) ->
             cums.append(cum)
             stack.append(children())
     assert best is not None  # [BOS, EOS] is always reachable
-    return _result(best, (best,), (best,), counted.calls, t0)
+    return _result(best, (best,), (best,), counted.calls)
 
 
 _STRATEGIES = {

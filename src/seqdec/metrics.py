@@ -1,7 +1,8 @@
 """Model-intrinsic sequence metrics and cross-strategy comparison tables.
 
 All quantities are in nats. Surprisal at BOS is fixed to 0 and kept out
-of the series; the EOS step is included (configurable).
+of the series; the EOS step is included (configurable). A hypothesis's
+NLL is ``-h.cum_logprob`` and its length ``h.length``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import statistics
 from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
-from seqdec.core import DecodeConfig, DecodeInput
+from seqdec.core import DecodeConfig, DecodeInput, Hypothesis
 from seqdec.decode import decode
 from seqdec.scorers import Scorer
 
@@ -45,6 +46,18 @@ def uid_error(series: SurprisalSeries, include_eos: bool = True) -> float:
     if any(math.isinf(v) for v in values):
         return math.inf
     return statistics.pstdev(values)
+
+
+def step_uid_error(h: Hypothesis) -> float:
+    """UID error of the step surprisals ``h`` carries, as scored by the
+    decode that built it."""
+    return uid_error(SurprisalSeries(tuple(-lp for lp in h.step_logprobs)))
+
+
+def perplexity(h: Hypothesis) -> float:
+    """exp(NLL / length), inf when the NLL is."""
+    nll = -h.cum_logprob
+    return math.inf if math.isinf(nll) else math.exp(nll / h.length)
 
 
 @dataclass(frozen=True)
@@ -87,12 +100,12 @@ def compare_strategies(scorer: Scorer, corpus: Sequence[DecodeInput],
     baseline_nll: dict[int, list[float]] = {}
     for cfg, results in per_config.items():
         if cfg.strategy == "beam":
-            baseline_nll[cfg.beam_width] = [r.metrics.nll for r in results]
+            baseline_nll[cfg.beam_width] = [-r.best.cum_logprob for r in results]
 
     rows = []
     for cfg in configs:
         results = per_config[cfg]
-        nlls = [r.metrics.nll for r in results]
+        nlls = [-r.best.cum_logprob for r in results]
         base = baseline_nll[cfg.beam_width]
         rows.append(ComparisonRow(
             strategy=cfg.strategy,
@@ -100,9 +113,9 @@ def compare_strategies(scorer: Scorer, corpus: Sequence[DecodeInput],
             d=cfg.lookahead_depth if cfg.strategy == "lbs" else 0,
             mean_nll=_mean(nlls),
             delta_nll_vs_beam=_mean([n - b for n, b in zip(nlls, base)]),
-            mean_uid_error=_mean([r.metrics.uid_error for r in results]),
-            mean_length=_mean([r.metrics.length for r in results]),
-            mean_ppl=_mean([r.metrics.perplexity for r in results]),
+            mean_uid_error=_mean([step_uid_error(r.best) for r in results]),
+            mean_length=_mean([r.best.length for r in results]),
+            mean_ppl=_mean([perplexity(r.best) for r in results]),
             mean_calls=_mean([r.scorer_calls for r in results]),
         ))
     return rows

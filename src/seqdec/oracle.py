@@ -6,7 +6,6 @@ plain breadth-first enumeration, deliberately unlike the search code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from seqdec.core import (
@@ -18,15 +17,10 @@ from seqdec.core import (
 from seqdec.scorers import Scorer
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    all_complete: tuple[tuple[tuple[int, ...], float], ...]
-
-
 def enumerate_all(scorer: Scorer, inp: DecodeInput, n_max: int,
-                  budget: int = DEFAULT_BUDGET) -> EnumerationResult:
-    """Score every complete sequence of at most n_max generated tokens
-    by direct left-to-right factorization."""
+                  budget: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """(tokens, score) of every complete sequence of at most n_max
+    generated tokens, scored by direct left-to-right factorization."""
     vocab = scorer.vocabulary
     check_budget(len(vocab.extension_ids), n_max, budget)
     complete: list[tuple[tuple[int, ...], float]] = []
@@ -40,14 +34,14 @@ def enumerate_all(scorer: Scorer, inp: DecodeInput, n_max: int,
             for tid in vocab.core_ids:
                 next_frontier.append((tokens + (tid,), score + row[tid]))
         frontier = next_frontier
-    return EnumerationResult(tuple(complete))
+    return tuple(complete)
 
 
 def brute_force_map(scorer: Scorer, inp: DecodeInput, n_max: int,
                     budget: int = DEFAULT_BUDGET) -> Hypothesis:
     """Globally optimal complete hypothesis by full enumeration."""
-    enum = enumerate_all(scorer, inp, n_max, budget)
-    tokens, score = min(enum.all_complete, key=lambda ts: (-ts[1], ts[0]))
+    tokens, score = min(enumerate_all(scorer, inp, n_max, budget),
+                        key=lambda ts: (-ts[1], ts[0]))
     # rebuild per-step log-probabilities by re-scoring the winning path
     steps = []
     for i in range(1, len(tokens)):

@@ -19,7 +19,13 @@ from seqdec.decode import (
     lbs_decode,
     lhbs_decode,
 )
-from seqdec.metrics import surprisal_series, uid_error, SurprisalSeries
+from seqdec.metrics import (
+    perplexity,
+    step_uid_error,
+    surprisal_series,
+    uid_error,
+    SurprisalSeries,
+)
 from seqdec.oracle import (
     breadth_first_lookahead,
     brute_force_map,
@@ -133,7 +139,7 @@ def test_criterion_5_pruned_exhaustive_soundness():
         pruned = exhaustive_decode(model, INP, DecodeConfig(
             beam_width=1, max_len=n_max, strategy="exhaustive"))
         enum = enumerate_all(model, INP, n_max)
-        tokens, score = min(enum.all_complete, key=lambda ts: (-ts[1], ts[0]))
+        tokens, score = min(enum, key=lambda ts: (-ts[1], ts[0]))
         assert pruned.best.tokens == tokens, f"seed {seed}"
         assert pruned.best.cum_logprob == score, f"seed {seed}"
     elapsed = time.perf_counter() - start
@@ -158,11 +164,11 @@ def test_criterion_6_metric_identities():
                 cfg = DecodeConfig(beam_width=2, lookahead_depth=1, max_len=n_max,
                                    strategy=strategy, mode=mode)
                 r = fn(model, INP, cfg)
-                m = r.metrics
-                assert m.nll == sum_left_to_right(-lp for lp in r.best.step_logprobs)
-                assert m.perplexity == math.exp(m.nll / m.length)
+                nll = -r.best.cum_logprob
+                assert nll == sum_left_to_right(-lp for lp in r.best.step_logprobs)
+                assert perplexity(r.best) == math.exp(nll / r.best.length)
                 series = surprisal_series(model, INP, r.best.tokens)
-                assert sum_left_to_right(series.values) == m.nll
+                assert sum_left_to_right(series.values) == nll
                 checked += 1
     assert uid_error(SurprisalSeries((0.7, 0.7, 0.7, 0.7))) == 0.0
     elapsed = time.perf_counter() - start
@@ -195,8 +201,8 @@ def test_criterion_7_directional_depth_trend():
             cfg = raw_cfg(strategy, k, d=d, n_max=n_max)
             results = [lbs_decode(model, inp, cfg) if d else beam_decode(model, inp, cfg)
                        for inp in inputs]
-            nlls[d] = [r.metrics.nll for r in results]
-            uids[d] = [r.metrics.uid_error for r in results]
+            nlls[d] = [-r.best.cum_logprob for r in results]
+            uids[d] = [step_uid_error(r.best) for r in results]
         for lo, hi in ((0, 1), (1, 2)):
             diffs = [b - a for a, b in zip(nlls[lo], nlls[hi])]
             mean_diff = statistics.mean(diffs)
@@ -252,7 +258,7 @@ def test_criterion_8_fixture_golden_values():
                                                    strategy="exhaustive"))
     assert math.exp(e.best.cum_logprob) == pytest.approx(0.35, abs=tol)
     enum = enumerate_all(tiny3, inp, 2)
-    masses = {t: math.exp(s) for t, s in enum.all_complete}
+    masses = {t: math.exp(s) for t, s in enum}
     assert masses == {
         (0, 3): pytest.approx(0.1, abs=tol),
         (0, 1, 3): pytest.approx(0.35, abs=tol),

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +87,63 @@ class TestDecodeCommand:
         assert rc == 3
 
 
+CORPUS_TXT = str(Path(__file__).parent / "data" / "corpus.txt")
+
+# A float as Python prints it, rewritten below to 12 significant digits:
+# sum() is compensated from Python 3.12 on, so the last digits of a
+# report's means differ between 3.11 and 3.12, and one digest holds for
+# every supported version only after rounding.
+_FLOAT = re.compile(r"-?\d+(?:\.\d+)?e[-+]?\d+|-?\d+\.\d+")
+
+
+def _digest(text):
+    text = _FLOAT.sub(lambda m: format(float(m.group()), ".12g"), text)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+DECODE_DIGEST = "1487cafc24602c16c941debbc0422292beec73afece7ded5180fa2bd81ebc05c"
+COMPARE_DIGEST = "b7ac1ce457f200c9979570efbef1137db141c630c9b7b6226a4556a9d1bae268"
+
+
+@pytest.fixture
+def bigram_files(tmp_path):
+    """A bigram trained on the test corpus, and one decode input per
+    corpus line as its context, plus an empty and an unknown context."""
+    model = str(tmp_path / "bigram.json")
+    assert main(["train", "--input", CORPUS_TXT, "--output", model, "--order", "2"]) == 0
+    contexts = [""] + Path(CORPUS_TXT).read_text().splitlines() + ["zebra"]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"s{i}", "context": c}) + "\n"
+                              for i, c in enumerate(contexts)))
+    return tmp_path, ["--scorer", "ngram", "--model", model, "--input", str(corpus)]
+
+
+class TestGoldenOutputs:
+    """The CLI's outputs, pinned by digest, so a refactor that changes
+    any record or report shows here."""
+
+    def test_decode_records(self, bigram_files):
+        tmp, common = bigram_files
+        out = str(tmp / "out.jsonl")
+        lines = []
+        for strategy in ("greedy", "beam", "lbs", "lhbs", "exhaustive"):
+            for mode in ("raw", "practical"):
+                assert main(["decode", "--strategy", strategy, "--mode", mode, "--k", "3",
+                             "--d", "2", "--max-len", "6", *common, "--output", out]) == 0
+                for record in read_jsonl(out):
+                    del record["wall_time_ms"]
+                    lines.append(json.dumps(record))
+        assert len(lines) == 320
+        assert _digest("\n".join(lines)) == DECODE_DIGEST
+
+    def test_compare_report(self, bigram_files):
+        tmp, common = bigram_files
+        out = tmp / "report.csv"
+        assert main(["compare", "--runs", "greedy,beam,lbs:1,lbs:2,lhbs", "--ks", "2,3",
+                     "--max-len", "6", *common, "--output", str(out)]) == 0
+        assert _digest(out.read_text()) == COMPARE_DIGEST
+
+
 class TestCompareCommand:
     def test_sweep_row_count(self, tiny3_files):
         tmp, model, corpus = tiny3_files
@@ -150,6 +210,30 @@ def test_model_with_whitespace_in_a_token_exits_2(tmp_path, capsys, scorer, obj)
                "--model", str(model), "--input", str(corpus), "--output", str(out)])
     assert rc == 2
     assert "whitespace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines,lineno", [
+    (['5'], 1),
+    (['{"id": "s1"}', '["s2"]'], 2),
+    (['{"id": [1]}'], 1),
+    (['{"id": null}'], 1),
+    (['{"id": true}'], 1),
+    (['{"id": "s1", "context": 5}'], 1),
+    (['{"id": "s1", "context": null}'], 1),
+    (['{"id": 1}', '{"id": "1"}'], 2),  # both would be written as "1"
+], ids=["scalar", "array", "id-array", "id-null", "id-bool", "context-number",
+        "context-null", "duplicate-written-id"])
+def test_bad_corpus_record_exits_2_with_its_line(tmp_path, capsys, lines, lineno):
+    model = tmp_path / "tiny3.json"
+    make_tiny3().save(str(model))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.jsonl"
+    rc = main(["decode", "--strategy", "beam", "--model", str(model),
+               "--input", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert f"{corpus}:{lineno}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -233,6 +317,28 @@ class TestOracleCommand:
         rc = main(["oracle", "--max-len", "2", "--model", model,
                    "--input", corpus, "--output", str(tmp / "o.jsonl")])
         assert rc == 4
+
+    def test_empty_env_budget_is_the_default(self, tiny3_files, monkeypatch):
+        tmp, model, corpus = tiny3_files
+        monkeypatch.setenv("SEQDEC_BUDGET", "")
+        rc = main(["oracle", "--max-len", "2", "--model", model,
+                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
+        assert rc == 0
+
+    def test_non_integer_env_budget_exits_2(self, tiny3_files, monkeypatch, capsys):
+        tmp, model, corpus = tiny3_files
+        monkeypatch.setenv("SEQDEC_BUDGET", "abc")
+        out = tmp / "o.jsonl"
+        rc = main(["decode", "--strategy", "beam", "--model", model,
+                   "--input", corpus, "--output", str(out)])
+        assert rc == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+        # an explicit --budget is used as it is, and the variable not read
+        rc = main(["decode", "--strategy", "beam", "--budget", "5", "--model", model,
+                   "--input", corpus, "--output", str(out)])
+        assert rc == 0
+        assert read_jsonl(str(out))[0]["tokens"] == ["a", "</s>"]
 
 
 class TestLookaheadBudgetExit:

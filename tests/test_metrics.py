@@ -8,7 +8,9 @@ from seqdec.decode import decode
 from seqdec.metrics import (
     CSV_HEADER,
     compare_strategies,
+    perplexity,
     rows_to_csv,
+    step_uid_error,
     surprisal_series,
     uid_error,
     SurprisalSeries,
@@ -37,7 +39,7 @@ class TestSurprisalSeries:
             cfg = DecodeConfig(beam_width=2, max_len=4, strategy="beam", mode="practical")
             r = decode(model, inp, cfg)
             series = surprisal_series(model, inp, r.best.tokens)
-            assert sum_left_to_right(series.values) == pytest.approx(r.metrics.nll, abs=0.0)
+            assert sum_left_to_right(series.values) == -r.best.cum_logprob
 
     def test_requires_bos(self, tiny3, inp):
         with pytest.raises(ValueError):
@@ -75,13 +77,18 @@ class TestMetricsRecord:
             for strategy in ("greedy", "beam", "lhbs"):
                 cfg = DecodeConfig(beam_width=2, max_len=4, strategy=strategy,
                                    mode="practical")
-                r = decode(model, inp, cfg)
-                m = r.metrics
-                assert m.nll == -r.best.cum_logprob
-                assert m.nll == sum_left_to_right(-lp for lp in r.best.step_logprobs)
-                assert m.perplexity == math.exp(m.nll / m.length)
-                assert m.length == len(r.best.tokens) - 1
-                assert m.scorer_calls == r.scorer_calls
+                best = decode(model, inp, cfg).best
+                nll = -best.cum_logprob
+                assert nll == sum_left_to_right(-lp for lp in best.step_logprobs)
+                assert perplexity(best) == math.exp(nll / best.length)
+                assert best.length == len(best.tokens) - 1
+
+    def test_perplexity_inf_when_nll_is(self, inp):
+        # the one-hot model's practical beam ends in EOS at -inf
+        best = decode(one_hot_model(), inp, DecodeConfig(beam_width=2, max_len=4)).best
+        assert best.cum_logprob == -math.inf
+        assert perplexity(best) == math.inf
+        assert step_uid_error(best) == math.inf
 
     def test_a_decode_computes_no_uid_error(self, inp, monkeypatch):
         def refuse(data):
@@ -103,7 +110,7 @@ class TestMetricsRecord:
                     r = decode(model, inp, DecodeConfig(beam_width=2, lookahead_depth=1,
                                                         max_len=4, strategy=strategy, mode=mode))
                     want = uid_error(surprisal_series(model, inp, r.best.tokens))
-                    assert r.metrics.uid_error.hex() == want.hex(), (strategy, mode)
+                    assert step_uid_error(r.best).hex() == want.hex(), (strategy, mode)
 
 
 class TestCompareStrategies:

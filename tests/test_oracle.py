@@ -17,16 +17,16 @@ from conftest import one_hot_model, random_table_model
 class TestEnumerateAll:
     def test_tiny3_n2(self, tiny3, inp):
         enum = enumerate_all(tiny3, inp, 2)
-        assert len(enum.all_complete) == 3  # |V|^0 + |V|^1 with |V| = 2
-        by_tokens = {tokens: math.exp(score) for tokens, score in enum.all_complete}
+        assert len(enum) == 3  # |V|^0 + |V|^1 with |V| = 2
+        by_tokens = {tokens: math.exp(score) for tokens, score in enum}
         assert by_tokens[(0, 3)] == pytest.approx(0.1)
         assert by_tokens[(0, 1, 3)] == pytest.approx(0.35)
         assert by_tokens[(0, 2, 3)] == pytest.approx(0.04)
 
     def test_n1_single_candidate(self, tiny3, inp):
         enum = enumerate_all(tiny3, inp, 1)
-        assert len(enum.all_complete) == 1
-        assert enum.all_complete[0][0] == (0, 3)
+        assert len(enum) == 1
+        assert enum[0][0] == (0, 3)
 
     def test_count_formula(self, inp):
         for n_max in (1, 2, 3, 4):
@@ -34,14 +34,14 @@ class TestEnumerateAll:
                 model = random_table_model(0, n_ext, n_max)
                 enum = enumerate_all(model, inp, n_max)
                 n_core = n_ext - 1
-                assert len(enum.all_complete) == sum(n_core ** (t - 1) for t in range(1, n_max + 1))
+                assert len(enum) == sum(n_core ** (t - 1) for t in range(1, n_max + 1))
 
     def test_total_mass_identity(self, inp):
         for seed in range(20):
             model = random_table_model(seed, 4, 4)
             n_max = 4
             enum = enumerate_all(model, inp, n_max)
-            complete_mass = sum(math.exp(s) for _, s in enum.all_complete)
+            complete_mass = sum(math.exp(s) for _, s in enum)
             # frontier mass: every incomplete length-n_max sequence
             vocab = model.vocabulary
             frontier = [((vocab.bos_id,), 0.0)]
