@@ -9,7 +9,6 @@ from seqdec.core import (
     Hypothesis,
     Vocabulary,
     extend,
-    kth_max,
 )
 from seqdec.decode import (
     beam_decode,
@@ -20,7 +19,7 @@ from seqdec.decode import (
     lbs_decode,
     lhbs_decode,
 )
-from seqdec.scorers import CountingScorer, NgramModel, TableModel, UniformModel
+from seqdec.scorers import CountingScorer, NgramModel, TableModel
 
 __all__ = [
     "Vocabulary",
@@ -28,7 +27,6 @@ __all__ = [
     "DecodeInput",
     "DecodeConfig",
     "DecodeResult",
-    "kth_max",
     "extend",
     "greedy_decode",
     "beam_decode",
@@ -39,7 +37,6 @@ __all__ = [
     "decode",
     "TableModel",
     "NgramModel",
-    "UniformModel",
     "CountingScorer",
 ]
 

@@ -173,13 +173,12 @@ def extend(h: Hypothesis, token: int, logprob: float, eos_id: int) -> Hypothesis
     )
 
 
-def kth_max(scores: Sequence[float], k: int) -> float:
-    """k-th largest value (duplicates counted), -inf if fewer than k entries."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(scores) < k:
-        return NEG_INF
-    return sorted(scores, reverse=True)[k - 1]
+def sum_left_to_right(values: Iterable[float]) -> float:
+    """The sum in the order given; builtin ``sum()`` is compensated from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def canonical_sorted(hyps: Sequence[Hypothesis]) -> list[Hypothesis]:

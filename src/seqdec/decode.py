@@ -19,6 +19,7 @@ Two execution modes are supported:
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
@@ -34,7 +35,6 @@ from seqdec.core import (
     canonical_sorted,
     check_budget,
     extend,
-    kth_max,
 )
 from seqdec.scorers import CountingScorer, Scorer
 
@@ -262,18 +262,18 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
         total descending with canonical tie-break. Entries come by
         current score descending, so the scan stops at the first whose
         current score already falls below the running n-th best total."""
-        scored: list[tuple[float, _Entry]] = []
+        best: list[tuple[float, _Entry]] = []  # the n best (total, entry) so far
         bar = NEG_INF  # the n-th best total so far
         for entry in entries:
             if -entry[0] < bar:
                 break
             f = _lookahead(counted, inp.context, entry[1], -entry[0], d, bar)
-            if f > bar or len(scored) < n:
-                scored.append((f, entry))
-                bar = kth_max([f for f, _ in scored], n)
-        # stable: equal totals keep the canonical order of the scan
-        scored.sort(key=lambda fe: -fe[0])
-        return [e for _, e in scored[:n]]
+            if f > bar or len(best) < n:
+                # after equal totals, so they keep the canonical order of the scan
+                insort(best, (f, entry), key=lambda fe: -fe[0])
+                del best[n:]
+                bar = best[-1][0] if len(best) == n else NEG_INF
+        return [e for _, e in best]
 
     return _search(counted, inp.context, config, pick)
 
@@ -303,14 +303,15 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
         prev = canonical_sorted(beam)
         # slot i's own children, in canonical order as the split is stable
         rank = {h.tokens: i for i, h in enumerate(prev)}
-        children: list[list[_Entry]] = [[] for _ in range(config.beam_width)]
+        children: list[list[_Entry]] = [[] for _ in prev]
         for e in entries:
             children[rank[e[2].tokens]].append(e)
         leftover: list[_Entry] = []
         popped: list[_Entry] = []
         slots = []
-        for i, own in enumerate(children):
-            pool = sorted(leftover + own, key=_canonical)
+        for i in range(config.beam_width):
+            # a slot past the previous beam takes from the leftover pool alone
+            pool = sorted(leftover + children[i], key=_canonical) if i < len(prev) else leftover
             if not pool:
                 break
             taken, leftover = pool[:pops], pool[pops:]

@@ -1,8 +1,8 @@
 """Model-intrinsic sequence metrics and cross-strategy comparison tables.
 
 All quantities are in nats. Surprisal at BOS is fixed to 0 and kept out
-of the series; the EOS step is included (configurable). A hypothesis's
-NLL is ``-h.cum_logprob`` and its length ``h.length``.
+of the series; the EOS step is included. A hypothesis's NLL is
+``-h.cum_logprob`` and its length ``h.length``.
 """
 
 from __future__ import annotations
@@ -14,19 +14,13 @@ import statistics
 from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
-from seqdec.core import DecodeConfig, DecodeInput, Hypothesis
+from seqdec.core import DecodeConfig, DecodeInput, Hypothesis, sum_left_to_right
 from seqdec.decode import decode
 from seqdec.scorers import Scorer
 
 
-@dataclass(frozen=True)
-class SurprisalSeries:
-    values: tuple[float, ...]
-    bos_surprisal: float = 0.0
-
-
 def surprisal_series(scorer: Scorer, inp: DecodeInput,
-                     tokens: Sequence[int]) -> SurprisalSeries:
+                     tokens: Sequence[int]) -> tuple[float, ...]:
     """Per-step surprisals of a token sequence, recomputed directly from
     the scorer (independent of any decode trace)."""
     if not tokens or tokens[0] != scorer.vocabulary.bos_id:
@@ -35,12 +29,11 @@ def surprisal_series(scorer: Scorer, inp: DecodeInput,
     for i in range(1, len(tokens)):
         row = scorer.next_logprobs(inp.context, tokens[:i])
         values.append(-row[tokens[i]])
-    return SurprisalSeries(tuple(values))
+    return tuple(values)
 
 
-def uid_error(series: SurprisalSeries, include_eos: bool = True) -> float:
+def uid_error(values: Sequence[float]) -> float:
     """Population standard deviation of the per-step surprisals."""
-    values = series.values if include_eos else series.values[:-1]
     if not values:
         raise ValueError("empty surprisal series")
     if any(math.isinf(v) for v in values):
@@ -51,7 +44,7 @@ def uid_error(series: SurprisalSeries, include_eos: bool = True) -> float:
 def step_uid_error(h: Hypothesis) -> float:
     """UID error of the step surprisals ``h`` carries, as scored by the
     decode that built it."""
-    return uid_error(SurprisalSeries(tuple(-lp for lp in h.step_logprobs)))
+    return uid_error([-lp for lp in h.step_logprobs])
 
 
 def perplexity(h: Hypothesis) -> float:
@@ -77,7 +70,7 @@ CSV_HEADER = [f.name for f in fields(ComparisonRow)]
 
 
 def _mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
+    return sum_left_to_right(xs) / len(xs)
 
 
 def compare_strategies(scorer: Scorer, corpus: Sequence[DecodeInput],

@@ -6,13 +6,12 @@ plain breadth-first enumeration, deliberately unlike the search code.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from seqdec.core import (
     DEFAULT_BUDGET,
     DecodeInput,
     Hypothesis,
     check_budget,
+    sum_left_to_right,
 )
 from seqdec.scorers import Scorer
 
@@ -49,13 +48,6 @@ def brute_force_map(scorer: Scorer, inp: DecodeInput, n_max: int,
         steps.append(row[tokens[i]])
     return Hypothesis(tokens=tokens, cum_logprob=sum_left_to_right(steps),
                       step_logprobs=tuple(steps), complete=True)
-
-
-def sum_left_to_right(values: Sequence[float]) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def breadth_first_lookahead(scorer: Scorer, inp: DecodeInput, h: Hypothesis,

@@ -53,21 +53,7 @@ def _check_extension_tokens(vocab: Vocabulary, what: str, tokens: Iterable[str])
             raise ValueError(f"{what} names {t!r}, not an extension token")
 
 
-class _JsonModel:
-    """Saving and loading through a subclass's ``to_json``/``from_json``,
-    with sorted keys so the bytes are reproducible."""
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json(), f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(json.load(f))
-
-
-class TableModel(_JsonModel):
+class TableModel:
     """Explicit lookup-table model, the workhorse test fixture.
 
     Rows are keyed by the space-joined post-BOS prefix, looked up as its
@@ -114,19 +100,6 @@ class TableModel(_JsonModel):
         return cls(vocab, obj["rows"], obj["default"])
 
 
-class UniformModel:
-    """Every extension token gets probability 1/|extension set|."""
-
-    def __init__(self, vocabulary: Vocabulary):
-        self.vocabulary = vocabulary
-        n = len(vocabulary.extension_ids)
-        self._row = Row.of(vocabulary, [math.log(1.0 / n)] * n)
-
-    def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
-        _check_prefix(self.vocabulary, prefix)
-        return self._row
-
-
 def _check_order_alpha(order: int, alpha: float) -> None:
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -134,7 +107,7 @@ def _check_order_alpha(order: int, alpha: float) -> None:
         raise ValueError("alpha must be finite and > 0")
 
 
-class NgramModel(_JsonModel):
+class NgramModel:
     """Add-alpha smoothed n-gram model over whitespace tokens.
 
     The conditioning history is the context string's tokens followed by
@@ -215,32 +188,31 @@ class NgramModel(_JsonModel):
         return cls(vocab, obj["order"], obj["alpha"], obj["counts"])
 
 
-def train_ngram(corpus: Iterable[str], order: int, alpha: float,
-                bos: str = "<s>", eos: str = "</s>") -> NgramModel:
+def train_ngram(corpus: Iterable[str], order: int, alpha: float) -> NgramModel:
     """Count-based training over whitespace-tokenized lines.
 
-    Each line is BOS-padded on the left and EOS-appended. The corpus is
-    read once, one line at a time, so it may be a file or a generator.
+    Each line is BOS-padded (``<s>``) on the left and EOS-appended (``</s>``).
+    The corpus is read once, one line at a time, so it may be a file or a generator.
     Deterministic: identical corpus bytes yield identical models.
     """
     _check_order_alpha(order, alpha)
     words: set[str] = set()
     counts: dict[str, dict[str, int]] = {}
-    pad = [bos] * (order - 1)
+    pad = ["<s>"] * (order - 1)
     for line in corpus:
         tokens = line.split()
         if not tokens:
             continue
         words.update(tokens)
-        padded = pad + tokens + [eos]
+        padded = pad + tokens + ["</s>"]
         for i in range(order - 1, len(padded)):
             ctx_counts = counts.setdefault(" ".join(padded[i - order + 1:i]), {})
             ctx_counts[padded[i]] = ctx_counts.get(padded[i], 0) + 1
     if not words:
         raise ValueError("empty corpus")
-    if bos in words or eos in words:
+    if "<s>" in words or "</s>" in words:
         raise ValueError("corpus must not contain the BOS/EOS markers")
-    vocab = Vocabulary.from_tokens([bos] + sorted(words) + [eos], bos=bos, eos=eos)
+    vocab = Vocabulary.from_tokens(["<s>"] + sorted(words) + ["</s>"])
     return NgramModel(vocab, order, alpha, counts)
 
 
@@ -287,9 +259,10 @@ class CountingScorer:
         self.calls += 1
 
 
-def load_model(kind: str, path: str):
-    if kind == "table":
-        return TableModel.load(path)
-    if kind == "ngram":
-        return NgramModel.load(path)
-    raise ValueError(f"unknown scorer kind {kind!r}")
+def load_model(kind: str, path: str) -> TableModel | NgramModel:
+    """The ``"table"`` or ``"ngram"`` model saved at ``path`` as its ``to_json()``."""
+    if kind not in ("table", "ngram"):
+        raise ValueError(f"unknown scorer kind {kind!r}")
+    with open(path, encoding="utf-8") as f:
+        obj = json.load(f)
+    return TableModel.from_json(obj) if kind == "table" else NgramModel.from_json(obj)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,18 @@ TINY3_DEFAULT = {"a": 0.25, "b": 0.25, "</s>": 0.5}
 def make_tiny3() -> TableModel:
     vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
     return TableModel(vocab, dict(TINY3_ROWS), dict(TINY3_DEFAULT))
+
+
+def uniform_model(vocab: Vocabulary) -> TableModel:
+    """Every extension token at probability 1/|extension set|."""
+    n = len(vocab.extension_ids)
+    return TableModel(vocab, {}, {vocab.tokens[t]: 1 / n for t in vocab.extension_ids})
+
+
+def write_model(model, path) -> None:
+    """Save a model file as ``seqdec train`` does: its ``to_json()``,
+    keys sorted."""
+    Path(path).write_text(json.dumps(model.to_json(), sort_keys=True), encoding="utf-8")
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from seqdec.metrics import (
     step_uid_error,
     surprisal_series,
     uid_error,
-    SurprisalSeries,
 )
 from seqdec.oracle import (
     breadth_first_lookahead,
@@ -168,9 +167,9 @@ def test_criterion_6_metric_identities():
                 assert nll == sum_left_to_right(-lp for lp in r.best.step_logprobs)
                 assert perplexity(r.best) == math.exp(nll / r.best.length)
                 series = surprisal_series(model, INP, r.best.tokens)
-                assert sum_left_to_right(series.values) == nll
+                assert sum_left_to_right(series) == nll
                 checked += 1
-    assert uid_error(SurprisalSeries((0.7, 0.7, 0.7, 0.7))) == 0.0
+    assert uid_error((0.7, 0.7, 0.7, 0.7)) == 0.0
     elapsed = time.perf_counter() - start
     print(f"PASS criterion 6: metric identities exact on {checked} decodes ({elapsed:.1f}s)")
 
@@ -286,8 +285,8 @@ def test_criterion_8_fixture_golden_values():
 
     # surprisal series and UID error
     series = surprisal_series(tiny3, inp, (0, 1, 3))
-    assert series.values[0] == pytest.approx(0.6931, abs=tol)
-    assert series.values[1] == pytest.approx(0.3567, abs=tol)
+    assert series[0] == pytest.approx(0.6931, abs=tol)
+    assert series[1] == pytest.approx(0.3567, abs=tol)
     assert uid_error(series) == pytest.approx(0.1682, abs=tol)
 
     # n-gram hand count: p(a|a) = (1+1)/(2+3)

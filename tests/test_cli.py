@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import re
 from pathlib import Path
 
 import pytest
@@ -13,13 +12,13 @@ from seqdec.core import Vocabulary
 from seqdec.remote import RemoteScorer, ScorerServer
 from seqdec.scorers import TableModel
 
-from conftest import make_tiny3
+from conftest import make_tiny3, write_model
 
 
 @pytest.fixture
 def tiny3_files(tmp_path):
     model_path = tmp_path / "tiny3.json"
-    make_tiny3().save(str(model_path))
+    write_model(make_tiny3(), model_path)
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text('{"id": "s1", "context": ""}\n')
     return tmp_path, str(model_path), str(corpus_path)
@@ -89,20 +88,15 @@ class TestDecodeCommand:
 
 CORPUS_TXT = str(Path(__file__).parent / "data" / "corpus.txt")
 
-# A float as Python prints it, rewritten below to 12 significant digits:
-# sum() is compensated from Python 3.12 on, so the last digits of a
-# report's means differ between 3.11 and 3.12, and one digest holds for
-# every supported version only after rounding.
-_FLOAT = re.compile(r"-?\d+(?:\.\d+)?e[-+]?\d+|-?\d+\.\d+")
 
-
+# full precision: report means are summed left to right, so the bytes are
+# the same on every supported Python, though sum() is compensated from 3.12 on
 def _digest(text):
-    text = _FLOAT.sub(lambda m: format(float(m.group()), ".12g"), text)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-DECODE_DIGEST = "1487cafc24602c16c941debbc0422292beec73afece7ded5180fa2bd81ebc05c"
-COMPARE_DIGEST = "b7ac1ce457f200c9979570efbef1137db141c630c9b7b6226a4556a9d1bae268"
+DECODE_DIGEST = "43d5594f76b64133d81da20ad1850cafb4b73d4c63597a5707e976eb8a14329e"
+COMPARE_DIGEST = "8933dfecf1a88c1e07ea9b8d6730b993f96b8f817e4562920991221a4a0df27a"
 
 
 @pytest.fixture
@@ -226,7 +220,7 @@ def test_model_with_whitespace_in_a_token_exits_2(tmp_path, capsys, scorer, obj)
         "context-null", "duplicate-written-id"])
 def test_bad_corpus_record_exits_2_with_its_line(tmp_path, capsys, lines, lineno):
     model = tmp_path / "tiny3.json"
-    make_tiny3().save(str(model))
+    write_model(make_tiny3(), model)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out.jsonl"
@@ -362,7 +356,7 @@ class TestLookaheadBudgetExit:
     def test_lookahead_deeper_than_the_recursion_limit_exits_0(self, tmp_path, capsys):
         model = tmp_path / "m.json"
         vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
-        TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}).save(str(model))
+        write_model(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}), model)
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"id": "s1", "context": ""}\n')
         out = tmp_path / "o.jsonl"
@@ -424,7 +418,7 @@ def served(tmp_path, monkeypatch):
     CLI opens against it."""
     model = make_tiny3()
     vocab_path = tmp_path / "vocab.json"
-    model.save(str(vocab_path))
+    write_model(model, vocab_path)
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text('{"id": "s1", "context": ""}\n')
     server = ScorerServer(model).start()

@@ -12,38 +12,8 @@ from seqdec.core import (
     canonical_sorted,
     check_budget,
     extend,
-    kth_max,
 )
 from seqdec.oracle import sum_left_to_right
-
-
-class TestKthMax:
-    def test_second_largest(self):
-        assert kth_max([-1.0, -2.0, -0.5], 2) == -1.0
-
-    def test_short_list_is_neg_inf(self):
-        assert kth_max([-1.0], 3) == NEG_INF
-
-    def test_duplicates_counted_separately(self):
-        assert kth_max([-2.0, -2.0, -3.0], 2) == -2.0
-
-    def test_k1_is_max(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            xs = [rng.uniform(-10, 0) for _ in range(rng.randint(1, 20))]
-            assert kth_max(xs, 1) == max(xs)
-
-    def test_matches_sorted_index(self):
-        rng = random.Random(8)
-        for _ in range(50):
-            xs = [rng.uniform(-10, 0) for _ in range(rng.randint(1, 12))]
-            for k in range(1, len(xs) + 2):
-                expected = sorted(xs, reverse=True)[k - 1] if k <= len(xs) else NEG_INF
-                assert kth_max(xs, k) == expected
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            kth_max([-1.0], 0)
 
 
 def h(tokens, steps):

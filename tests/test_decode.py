@@ -309,6 +309,24 @@ class TestLHBS:
         b = lhbs_decode(model, inp, cfg("lhbs", k=3, n_max=4, mode="practical"))
         assert a.best == b.best and a.final_beam == b.final_beam
 
+    @pytest.mark.parametrize("mode", ["raw", "practical"])
+    def test_memory_follows_the_previous_beam_not_k(self, inp, mode):
+        # at most 2^3 previous hypotheses per step; one child list per
+        # slot of k = 10^5 traced a 6.4 MB peak, as wide as beam search's
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
+        k = 10**5
+        tracemalloc.start()
+        try:
+            r = lhbs_decode(model, inp, cfg("lhbs", k=k, n_max=4, mode=mode))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # k exceeds every candidate count, so both keep every candidate
+        b = beam_decode(model, inp, cfg("beam", k=k, n_max=4, mode=mode))
+        assert set(r.final_beam) == set(b.final_beam) and r.best == b.best
+        assert peak < 500_000
+
 
 class TestModes:
     def test_practical_early_stop_is_sound(self, inp):

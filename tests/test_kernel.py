@@ -72,6 +72,13 @@ def test_eval_lookahead_bit_exact_against_reference():
                 assert got_scorer.calls == want_scorer.calls, (seed, h.tokens, d, f_max)
 
 
+#: Fewer finite candidates than k: only a is possible at the first step,
+#: and b never is.
+FEW_FINITE = TableModel(Vocabulary.from_tokens(["<s>", "a", "b", "</s>"]),
+                        {"": {"a": 1.0}, "a": {"a": 0.5, "</s>": 0.5}},
+                        {"a": 0.5, "</s>": 0.5})
+
+
 def test_raw_beam_and_lbs_d0_match_reference():
     for seed in SEEDS:
         model = random_table_model(seed, 4, 4, allow_zero=(seed % 3 == 0))
@@ -79,6 +86,16 @@ def test_raw_beam_and_lbs_d0_match_reference():
         ref_beam, _ = lbs_reference_decode(model, "", 0, k, 4)
         assert beam_decode(model, INP, raw("beam", k)).final_beam == tuple(ref_beam), seed
         assert lbs_decode(model, INP, raw("lbs", k)).final_beam == tuple(ref_beam), seed
+    # -inf candidates still fill the beam, in both modes
+    for k in (2, 3, 4):
+        ref_beam, _ = lbs_reference_decode(FEW_FINITE, "", 0, k, 3)
+        assert beam_decode(FEW_FINITE, INP, raw("beam", k, n_max=3)).final_beam == tuple(ref_beam)
+        for mode in ("raw", "practical"):
+            beam = beam_decode(FEW_FINITE, INP, DecodeConfig(
+                beam_width=k, max_len=3, strategy="beam", mode=mode))
+            lbs = lbs_decode(FEW_FINITE, INP, DecodeConfig(
+                beam_width=k, max_len=3, strategy="lbs", mode=mode))
+            assert lbs == beam, (k, mode)
 
 
 def test_raw_lbs_matches_reference():

@@ -13,7 +13,6 @@ from seqdec.metrics import (
     step_uid_error,
     surprisal_series,
     uid_error,
-    SurprisalSeries,
 )
 from seqdec.oracle import brute_force_map, sum_left_to_right
 
@@ -23,14 +22,12 @@ from conftest import one_hot_model, random_table_model
 class TestSurprisalSeries:
     def test_tiny3_best_path(self, tiny3, inp):
         series = surprisal_series(tiny3, inp, (0, 1, 3))
-        assert series.values[0] == pytest.approx(0.6931, abs=1e-4)
-        assert series.values[1] == pytest.approx(0.3567, abs=1e-4)
-        assert series.bos_surprisal == 0.0
+        assert series == pytest.approx((0.6931, 0.3567), abs=1e-4)
 
     def test_one_hot_chain_zero_surprisal(self, inp):
         model = one_hot_model("a")
         series = surprisal_series(model, inp, (0, 1, 1, 1))
-        assert series.values == (0.0, 0.0, 0.0)
+        assert series == (0.0, 0.0, 0.0)
         assert uid_error(series) == 0.0
 
     def test_sum_equals_nll_of_decode(self, inp):
@@ -39,7 +36,7 @@ class TestSurprisalSeries:
             cfg = DecodeConfig(beam_width=2, max_len=4, strategy="beam", mode="practical")
             r = decode(model, inp, cfg)
             series = surprisal_series(model, inp, r.best.tokens)
-            assert sum_left_to_right(series.values) == -r.best.cum_logprob
+            assert sum_left_to_right(series) == -r.best.cum_logprob
 
     def test_requires_bos(self, tiny3, inp):
         with pytest.raises(ValueError):
@@ -48,25 +45,25 @@ class TestSurprisalSeries:
 
 class TestUidError:
     def test_hand_value(self):
-        series = SurprisalSeries((0.6931, 0.3567))
-        assert uid_error(series) == pytest.approx(0.1682, abs=1e-4)
+        assert uid_error((0.6931, 0.3567)) == pytest.approx(0.1682, abs=1e-4)
 
     def test_constant_series(self):
-        assert uid_error(SurprisalSeries((0.5, 0.5, 0.5))) == 0.0
+        assert uid_error((0.5, 0.5, 0.5)) == 0.0
 
     def test_single_element(self):
-        assert uid_error(SurprisalSeries((1.3,))) == 0.0
+        assert uid_error((1.3,)) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            uid_error(SurprisalSeries(()))
+            uid_error(())
 
     def test_infinite_surprisal(self):
-        assert uid_error(SurprisalSeries((1.0, math.inf))) == math.inf
+        assert uid_error((1.0, math.inf)) == math.inf
 
     def test_eos_switch(self):
-        series = SurprisalSeries((0.5, 0.5, 3.0))
-        assert uid_error(series, include_eos=False) == 0.0
+        # the EOS step counts; a caller leaves it out by slicing
+        series = (0.5, 0.5, 3.0)
+        assert uid_error(series[:-1]) == 0.0
         assert uid_error(series) > 0.0
 
 

@@ -9,9 +9,9 @@ from seqdec.oracle import (
     enumerate_all,
     sum_left_to_right,
 )
-from seqdec.scorers import TableModel, UniformModel
+from seqdec.scorers import TableModel
 
-from conftest import one_hot_model, random_table_model
+from conftest import one_hot_model, random_table_model, uniform_model
 
 
 class TestEnumerateAll:
@@ -70,7 +70,7 @@ class TestBruteForceMap:
 
     def test_uniform_prefers_short(self, inp):
         vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
-        model = UniformModel(vocab)
+        model = uniform_model(vocab)
         best = brute_force_map(model, inp, 2)
         assert best.tokens == (0, vocab.eos_id)
         assert math.exp(best.cum_logprob) == pytest.approx(1 / 3)

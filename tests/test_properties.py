@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from seqdec.core import NEG_INF, Hypothesis, Vocabulary, extend  # noqa: E402
 from seqdec.decode import _hypothesis, _ranked, eval_lookahead  # noqa: E402
-from seqdec.scorers import CountingScorer, NgramModel, TableModel, UniformModel  # noqa: E402
+from seqdec.scorers import CountingScorer, NgramModel, TableModel  # noqa: E402
 
-from conftest import PrefixRecorder, reference_eval_lookahead  # noqa: E402
+from conftest import PrefixRecorder, reference_eval_lookahead, uniform_model  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -191,7 +191,7 @@ def test_lookahead_equals_the_reference(model, d, data):
 any_model = st.one_of(
     dyadic_table_models(),
     ngram_cases().map(itemgetter(0)),
-    vocabularies().map(UniformModel),
+    vocabularies().map(uniform_model),
 )
 
 

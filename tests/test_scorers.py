@@ -13,11 +13,11 @@ from seqdec.scorers import (
     CountingScorer,
     NgramModel,
     TableModel,
-    UniformModel,
+    load_model,
     train_ngram,
 )
 
-from conftest import BatchRecorder, make_tiny3, random_table_model
+from conftest import BatchRecorder, make_tiny3, random_table_model, uniform_model, write_model
 
 
 def row_mass(row):
@@ -70,8 +70,8 @@ class TestTableModel:
 
     def test_json_roundtrip(self, tiny3, tmp_path):
         path = tmp_path / "model.json"
-        tiny3.save(str(path))
-        loaded = TableModel.load(str(path))
+        write_model(tiny3, path)
+        loaded = load_model("table", str(path))
         assert loaded.next_logprobs("", (0, 1)) == tiny3.next_logprobs("", (0, 1))
         obj = json.loads(path.read_text())
         assert set(obj) == {"vocab", "rows", "default"}
@@ -80,7 +80,7 @@ class TestTableModel:
 class TestUniformModel:
     def test_uniform_row(self):
         vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
-        model = UniformModel(vocab)
+        model = uniform_model(vocab)
         row = model.next_logprobs("", (0,))
         assert all(lp == pytest.approx(math.log(1 / 3)) for lp in row.values())
 
@@ -133,8 +133,8 @@ class TestNgram:
     def test_json_roundtrip(self, tmp_path):
         model = train_ngram(["a b a"], order=2, alpha=1.0)
         path = tmp_path / "ngram.json"
-        model.save(str(path))
-        loaded = NgramModel.load(str(path))
+        write_model(model, path)
+        loaded = load_model("ngram", str(path))
         assert loaded.next_logprobs("", (0,)) == model.next_logprobs("", (0,))
 
 
@@ -386,7 +386,7 @@ class TestTrainedBytes:
         with open(corpus, encoding="utf-8") as lines:  # streamed, not a list
             model = train_ngram(lines, order, alpha)
         path = tmp_path / "model.json"
-        model.save(str(path))
+        write_model(model, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[order, alpha]
 
     def test_a_generator_corpus_trains_the_same_model(self):
