@@ -25,13 +25,12 @@ from seqdec.core import (
     DecodeConfig,
     DecodeInput,
     ScorerTransportError,
-    Vocabulary,
 )
 from seqdec.decode import decode
 from seqdec.metrics import compare_strategies, perplexity, rows_to_csv, step_uid_error
 from seqdec.oracle import brute_force_map, enumerate_all
 from seqdec.remote import RemoteScorer
-from seqdec.scorers import load_model, train_ngram
+from seqdec.scorers import load_model, load_vocabulary, train_ngram
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,8 +105,7 @@ def _make_scorer(args):
         if not args.model:
             raise UsageError("--model (vocabulary file) required for remote scorer")
         try:
-            with open(args.model, encoding="utf-8") as f:
-                vocab = Vocabulary.from_tokens(json.load(f)["vocab"])
+            vocab = load_vocabulary(args.model)
         except (OSError, KeyError, ValueError) as exc:
             raise UsageError(f"cannot load vocabulary from {args.model}: {exc}") from exc
         host, _, port = args.endpoint.rpartition(":")

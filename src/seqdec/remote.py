@@ -31,6 +31,18 @@ null, "error": str}, and the connection stays open. A request line
 longer than ``MAX_REQUEST_BYTES`` (newline included) gets the error
 reply with id null, and the server closes the connection: it reads no
 more of the line, so it cannot find where the next request begins.
+
+The client reads at most 32 bytes per value the request asks for
+(prefixes x extension tokens), plus 8 bytes per request byte (room for
+an error reply that quotes the request), plus 1024 bytes, of a reply
+line, newline included. A longer reply raises ScorerTransportError at
+once, and the client closes the connection, as it cannot find where the
+next reply begins.
+
+The server writes each ``Row``'s JSON text on the row's first reply and
+keeps it with the row, as ``Row.ranked()`` keeps its ranking; a row is
+immutable, so a shared row (every row the shipped models return) is
+printed once, and a scorer that returns mappings pays one print per call.
 """
 
 from __future__ import annotations
@@ -51,6 +63,12 @@ _read_response = json.JSONDecoder(parse_int=float).decode
 
 #: The longest request line, newline included, that the server reads.
 MAX_REQUEST_BYTES = 8 * 2**20
+
+#: The client's reply-line limit, as the module docstring gives it: bytes
+#: per value asked (a float's repr is at most 24), per request byte, and more.
+_REPLY_BYTES_PER_VALUE = 32
+_REPLY_BYTES_PER_REQUEST_BYTE = 8
+_REPLY_SLACK_BYTES = 1024
 
 
 class RemoteScorer:
@@ -87,8 +105,11 @@ class RemoteScorer:
     def next_logprobs_batch(self, context: str,
                             prefixes: Sequence[Sequence[int]]) -> list[Row]:
         """One row per prefix, from one round trip."""
-        tokens = self.vocabulary.tokens
+        vocabulary = self.vocabulary
+        tokens = vocabulary.tokens
         with self._lock:
+            if self._file.closed:
+                raise ScorerTransportError("the connection is closed")
             req_id = self._next_id
             self._next_id += 1
             self.round_trips += 1
@@ -96,12 +117,20 @@ class RemoteScorer:
                        "prefixes": [[tokens[i] for i in p] for p in prefixes]}
             if self._extension_tokens is not None:
                 request["extension_tokens"] = self._extension_tokens
+            data = json.dumps(request).encode("utf-8") + b"\n"
+            limit = (_REPLY_BYTES_PER_VALUE * len(prefixes) * len(vocabulary.extension_ids)
+                     + _REPLY_BYTES_PER_REQUEST_BYTE * len(data) + _REPLY_SLACK_BYTES)
             try:
-                self._file.write(json.dumps(request).encode("utf-8") + b"\n")
+                self._file.write(data)
                 self._file.flush()
-                line = self._file.readline()
+                line = self._file.readline(limit + 1)
             except OSError as exc:
                 raise ScorerTransportError(f"request failed: {exc}") from exc
+            if len(line) > limit:
+                # the rest of the line is unread, so no later reply can be found
+                self.close()
+                raise ScorerTransportError(
+                    f"reply line longer than {limit} bytes; the connection is closed")
         if not line:
             raise ScorerTransportError("peer closed the connection")
         try:
@@ -157,10 +186,28 @@ def _finite_float(text: str) -> float:
 def _prefix(token_ids: dict[str, int], prefix) -> tuple[int, ...]:
     if not isinstance(prefix, list):
         raise TypeError("a prefix must be a list of token strings")
-    unknown = [t for t in prefix if t not in token_ids]
-    if unknown:
-        raise ValueError(f"unknown token {unknown[0]!r}")
-    return tuple(token_ids[t] for t in prefix)
+    try:
+        return tuple(map(token_ids.__getitem__, prefix))
+    except KeyError:
+        # the whole scan, so an unhashable token after the unknown one
+        # still raises its TypeError
+        unknown = [t for t in prefix if t not in token_ids]
+        raise ValueError(f"unknown token {unknown[0]!r}") from None
+
+
+#: Reads a request line, refusing NaN, Infinity and out-of-range numbers.
+_read_request = json.JSONDecoder(parse_constant=_reject_constant,
+                                 parse_float=_finite_float).decode
+
+
+def _row_text(row: Row) -> str:
+    """The row's JSON text in a reply, written on its first reply and kept
+    with the row: a ``Row`` is immutable, so its text never changes."""
+    text = row._wire
+    if text is None:
+        text = row._wire = json.dumps([None if lp == NEG_INF else lp for lp in row.values()],
+                                      allow_nan=False)
+    return text
 
 
 def _error_reply(req_id, message: str) -> bytes:
@@ -172,8 +219,7 @@ def _respond(counted: CountingScorer, line: bytes) -> bytes:
     naming what was wrong with the request."""
     req_id = None
     try:
-        request = json.loads(line, parse_constant=_reject_constant,
-                             parse_float=_finite_float)
+        request = _read_request(line.decode(json.detect_encoding(line), "surrogatepass"))
         req_id = request.get("id")
         context = request.get("context", "")
         if "extension_tokens" in request:
@@ -183,9 +229,9 @@ def _respond(counted: CountingScorer, line: bytes) -> bytes:
         if not isinstance(request["prefixes"], list):
             raise TypeError("prefixes must be a list of prefixes")
         prefixes = [_prefix(counted.vocabulary.token_ids, p) for p in request["prefixes"]]
-        rows = [[None if lp == NEG_INF else lp for lp in row.values()]
-                for row in counted.next_logprobs_batch(context, prefixes)]
-        response = json.dumps({"id": req_id, "rows": rows}, allow_nan=False)
+        rows = ", ".join(map(_row_text, counted.next_logprobs_batch(context, prefixes)))
+        # the bytes json.dumps({"id": req_id, "rows": ...}) writes
+        response = '{"id": ' + json.dumps(req_id, allow_nan=False) + ', "rows": [' + rows + ']}'
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         return _error_reply(req_id, f"{type(exc).__name__}: {exc}")
     return response.encode("utf-8") + b"\n"

@@ -53,6 +53,18 @@ def _check_extension_tokens(vocab: Vocabulary, what: str, tokens: Iterable[str])
             raise ValueError(f"{what} names {t!r}, not an extension token")
 
 
+def _vocabulary(obj: dict) -> Vocabulary:
+    tokens = obj["vocab"]
+    if not isinstance(tokens, list) or not all(type(t) is str for t in tokens):
+        raise ValueError("'vocab' must be a list of token strings")
+    return Vocabulary.from_tokens(tokens)
+
+
+def _is_probs(row) -> bool:
+    # exact types: a JSON boolean is not a number
+    return isinstance(row, dict) and all(type(p) in (int, float) for p in row.values())
+
+
 class TableModel:
     """Explicit lookup-table model, the workhorse test fixture.
 
@@ -96,8 +108,13 @@ class TableModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TableModel":
-        vocab = Vocabulary.from_tokens(obj["vocab"])
-        return cls(vocab, obj["rows"], obj["default"])
+        vocab = _vocabulary(obj)
+        rows, default = obj["rows"], obj["default"]
+        if not (isinstance(rows, dict) and all(map(_is_probs, rows.values()))
+                and _is_probs(default)):
+            raise ValueError("'rows' must map prefixes to rows, and each row and "
+                             "'default' must map tokens to numbers")
+        return cls(vocab, rows, default)
 
 
 def _check_order_alpha(order: int, alpha: float) -> None:
@@ -184,8 +201,11 @@ class NgramModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NgramModel":
-        vocab = Vocabulary.from_tokens(obj["vocab"])
-        return cls(vocab, obj["order"], obj["alpha"], obj["counts"])
+        vocab = _vocabulary(obj)
+        order, alpha = obj["order"], obj["alpha"]
+        if type(order) is not int or type(alpha) not in (int, float):
+            raise ValueError("'order' must be an integer and 'alpha' a number")
+        return cls(vocab, order, alpha, obj["counts"])
 
 
 def train_ngram(corpus: Iterable[str], order: int, alpha: float) -> NgramModel:
@@ -259,10 +279,23 @@ class CountingScorer:
         self.calls += 1
 
 
-def load_model(kind: str, path: str) -> TableModel | NgramModel:
-    """The ``"table"`` or ``"ngram"`` model saved at ``path`` as its ``to_json()``."""
-    if kind not in ("table", "ngram"):
-        raise ValueError(f"unknown scorer kind {kind!r}")
+def _load_object(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
         obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise ValueError("the file does not hold a JSON object")
+    return obj
+
+
+def load_model(kind: str, path: str) -> TableModel | NgramModel:
+    """The ``"table"`` or ``"ngram"`` model saved at ``path`` as its ``to_json()``.
+    A file of the wrong shape raises ``ValueError`` or ``KeyError``."""
+    if kind not in ("table", "ngram"):
+        raise ValueError(f"unknown scorer kind {kind!r}")
+    obj = _load_object(path)
     return TableModel.from_json(obj) if kind == "table" else NgramModel.from_json(obj)
+
+
+def load_vocabulary(path: str) -> Vocabulary:
+    """The vocabulary of the model file at ``path``: its ``"vocab"`` list."""
+    return _vocabulary(_load_object(path))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,30 @@ def test_model_with_whitespace_in_a_token_exits_2(tmp_path, capsys, scorer, obj)
                "--model", str(model), "--input", str(corpus), "--output", str(out)])
     assert rc == 2
     assert "whitespace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scorer,obj,message", [
+    ("ngram", [1], "cannot load model .*: the file does not hold a JSON object"),
+    ("remote", [1], "cannot load vocabulary from .*: the file does not hold a JSON object"),
+    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": [], "default": {"a": 1.0}},
+     "'rows' must map prefixes to rows"),
+    ("table", {"vocab": 5, "rows": {}, "default": {"a": 1.0}},
+     "'vocab' must be a list of token strings"),
+    ("table", {"vocab": ["<s>", 1, "</s>"], "rows": {}, "default": {"a": 1.0}},
+     "'vocab' must be a list of token strings"),
+], ids=["model-list", "vocabulary-list", "rows-list", "vocab-number", "vocab-non-string"])
+def test_model_file_of_the_wrong_shape_exits_2(tmp_path, capsys, scorer, obj, message):
+    # valid JSON that is not a model raised TypeError or AttributeError (exit 1)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "s1", "context": ""}\n')
+    out = tmp_path / "out.jsonl"
+    rc = main(["decode", "--strategy", "beam", "--scorer", scorer, "--model", str(model),
+               "--endpoint", "127.0.0.1:1", "--input", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -2,16 +2,19 @@
 ``hypothesis``). Examples are derandomized, so every run checks the same
 cases."""
 
+import json
 import math
 from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from seqdec.core import NEG_INF, Hypothesis, Vocabulary, extend  # noqa: E402
+from seqdec.core import NEG_INF, Hypothesis, Row, Vocabulary, extend  # noqa: E402
 from seqdec.decode import _hypothesis, _ranked, eval_lookahead  # noqa: E402
+from seqdec.remote import RemoteScorer, _read_response, _respond  # noqa: E402
 from seqdec.scorers import CountingScorer, NgramModel, TableModel  # noqa: E402
 
 from conftest import PrefixRecorder, reference_eval_lookahead, uniform_model  # noqa: E402
@@ -211,3 +214,49 @@ def test_rows_are_read_only_and_shared(model, data, value):
     copy[tid] = value
     again = model.next_logprobs("", prefix)
     assert again is row and dict(again) == before
+
+
+# ------------------------------------------------------------ wire rows
+
+
+@st.composite
+def wire_rows(draw):
+    """A normalized row: either one value within 1e-9 of 0 (0.0, -0.0 and
+    subnormals included) among -inf and values below -50, down to the
+    lowest float; or the logs of integer weights, -inf for a zero weight."""
+    vocab = draw(vocabularies())
+    n = len(vocab.extension_ids)
+    if draw(st.booleans()):
+        top = draw(st.floats(min_value=-1e-9, max_value=0.0))
+        rest = draw(st.lists(st.one_of(st.just(NEG_INF), st.floats(max_value=-50.0)),
+                             min_size=n - 1, max_size=n - 1))
+        values = rest[:]
+        values.insert(draw(st.integers(0, n - 1)), top)
+    else:
+        weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+        values = [math.log(w / sum(weights)) if w else NEG_INF for w in weights]
+    return Row.of(vocab, values)
+
+
+class _KeptRow:
+    """Returns one kept row on every call."""
+
+    def __init__(self, row):
+        self.row = row
+        self.vocabulary = row.vocabulary
+
+    def next_logprobs(self, context, prefix):
+        return self.row
+
+
+@PROPERTY
+@given(wire_rows())
+def test_rows_cross_the_wire_bit_for_bit(row):
+    vocab = row.vocabulary
+    counted = CountingScorer(_KeptRow(row))
+    client = SimpleNamespace(vocabulary=vocab)  # all RemoteScorer._row reads
+    line = json.dumps({"id": 1, "context": "", "prefixes": [["<s>"]]}).encode()
+    for _ in range(2):  # the second reply reads the row's kept text
+        values, = _read_response(_respond(counted, line).decode())["rows"]
+        back = RemoteScorer._row(client, values)
+        assert [v.hex() for v in back] == [v.hex() for v in row]

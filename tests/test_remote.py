@@ -1,6 +1,8 @@
 import json
 import math
+import itertools
 import socket
+import sys
 import threading
 import time
 
@@ -8,8 +10,8 @@ import pytest
 
 from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, ScorerTransportError, Vocabulary
 from seqdec.decode import beam_decode, decode
-from seqdec.remote import MAX_REQUEST_BYTES, RemoteScorer, ScorerServer
-from seqdec.scorers import TableModel
+from seqdec.remote import MAX_REQUEST_BYTES, RemoteScorer, ScorerServer, _respond
+from seqdec.scorers import CountingScorer, TableModel
 
 from conftest import BatchRecorder, make_tiny3, random_table_model
 
@@ -556,3 +558,125 @@ class TestVocabularyCheck:
         assert replies == [
             {"id": 1, "error": "ValueError: extension tokens differ from the server's"},
             {"id": 2, "rows": _rows(model, requests[1])}]
+
+
+class TestReplyLimit:
+    """The client reads at most 32 bytes per value the request asks for,
+    8 per request byte and 1024 more of a reply line."""
+
+    def test_overlong_reply_raises_at_once_naming_the_limit(self):
+        requests = []
+        release = threading.Event()
+
+        def handle(conn):
+            with conn.makefile("rb") as f:
+                requests.append(f.readline())
+            try:  # far past the limit, and no newline
+                conn.sendall(b'{"id": 0, "rows": [[' + b"0" * 4_000_000)
+            except OSError:  # the client closed first
+                pass
+            release.wait(10.0)  # hold the connection open
+
+        model = make_tiny3()
+        client = RemoteScorer(model.vocabulary, *_serve_once(handle), timeout=5.0)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(ScorerTransportError) as info:
+                client.next_logprobs("", (0,))
+            elapsed = time.monotonic() - t0
+            limit = 32 * 1 * 3 + 8 * len(requests[0]) + 1024
+            assert str(info.value) == (f"reply line longer than {limit} bytes; "
+                                       f"the connection is closed")
+            assert elapsed < 1.0  # not the socket timeout
+            with pytest.raises(ScorerTransportError, match="the connection is closed"):
+                client.next_logprobs("", (0,))
+        finally:
+            release.set()
+            client.close()
+
+    def test_longest_valid_rows_fit(self):
+        # every value as long as a float's repr gets, and the shortest prefixes
+        longest = -1.7976931348623157e+308
+
+        def reply(req):
+            return {"id": req["id"], "rows": [[longest, 0.0, longest]] * len(req["prefixes"])}
+
+        model = make_tiny3()
+        client = RemoteScorer(model.vocabulary, *_one_shot_server(reply))
+        try:
+            rows = client.next_logprobs_batch("", [(0,)] * 200)
+            assert [tuple(row.values()) for row in rows] == [(longest, 0.0, longest)] * 200
+        finally:
+            client.close()
+
+
+def _reference_reply(req_id, rows) -> bytes:
+    """The reply as the server wrote it before row texts were kept: the
+    whole object dumped at once."""
+    return json.dumps({"id": req_id, "rows": [[None if lp == NEG_INF else lp
+                                               for lp in row.values()] for row in rows]},
+                      allow_nan=False).encode() + b"\n"
+
+
+class TestReplyBytes:
+    """A reply joins each row's kept text; its bytes equal the whole reply
+    dumped at once."""
+
+    VOCAB = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+    # the "a" row holds null and 0.0
+    TABLE = TableModel(VOCAB, {"a": {"</s>": 1.0}}, {"a": 0.75, "b": 0.0, "</s>": 0.25})
+
+    class Mappings:
+        """Returns a fresh mapping per call, so each call gets a fresh Row."""
+
+        def __init__(self, model):
+            self.model = model
+            self.vocabulary = model.vocabulary
+
+        def next_logprobs(self, context, prefix):
+            return dict(self.model.next_logprobs(context, prefix))
+
+    @pytest.mark.parametrize("prefixes", [[["<s>"], ["<s>", "a"], ["<s>"]], [["<s>", "a"]], []])
+    @pytest.mark.parametrize("req_id", [7, "s\u00e9", None, 2.5], ids=["int", "str", "null", "float"])
+    @pytest.mark.parametrize("scorer", ["kept", "mappings"])
+    def test_reply_equals_the_whole_reply_dumped(self, scorer, req_id, prefixes):
+        counted = CountingScorer(self.TABLE if scorer == "kept" else self.Mappings(self.TABLE))
+        line = json.dumps({"id": req_id, "context": "", "prefixes": prefixes}).encode() + b"\n"
+        rows = [self.TABLE.next_logprobs("", tuple(map(self.VOCAB.token_ids.__getitem__, p)))
+                for p in prefixes]
+        for _ in range(2):  # the second reply reads the kept texts
+            assert _respond(counted, line) == _reference_reply(req_id, rows)
+
+
+def test_clients_racing_for_new_rows_read_exact_rows(serve):
+    # handler threads keep a row's text without a lock: threads that race
+    # write the same text, so every reply stays exact
+    model = random_table_model(3, 5, 4, allow_zero=True)
+    server = serve(model)
+    vocab = model.vocabulary
+    prefixes = [(vocab.bos_id, *tail) for n in range(4)
+                for tail in itertools.product(vocab.core_ids, repeat=n)]
+    wrong, done = [], []
+
+    def client_run():
+        client = RemoteScorer(vocab, *server.address)
+        try:
+            for prefix in prefixes:
+                if client.next_logprobs("", prefix) != model.next_logprobs("", prefix):
+                    wrong.append(prefix)
+            done.append(True)
+        finally:
+            client.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client_run) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(done) == 6 and wrong == [] and len(prefixes) == 85
