@@ -148,8 +148,8 @@ def cmd_decode(args) -> int:
                 "k": args.k,
                 "d": args.d,
             }
-            lines.append(json.dumps(record))
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+            lines.append(json.dumps(record) + "\n")
+    _atomic_write(args.output, "".join(lines))
     return EXIT_OK
 
 
@@ -216,7 +216,7 @@ def cmd_oracle(args) -> int:
                         "id": inp.id,
                         "tokens": scorer.vocabulary.to_strings(tokens[1:]),
                         "score": _json_float(score),
-                    }))
+                    }) + "\n")
             else:
                 best = brute_force_map(scorer, inp, args.max_len, budget=args.budget)
                 lines.append(json.dumps({
@@ -224,8 +224,8 @@ def cmd_oracle(args) -> int:
                     "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
                     "score": _json_float(best.cum_logprob),
                     "p": math.exp(best.cum_logprob),
-                }))
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+                }) + "\n")
+    _atomic_write(args.output, "".join(lines))
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ Two execution modes are supported:
   extension log-probability 0) so the recursion is well-defined past EOS.
   Every beam slot costs one scorer call per step, so call counts compare
   across strategies; a finished slot's call is counted, but the model is
-  not asked for the row, which would be discarded. Used for exact
-  equivalence checks between strategies.
+  not asked for the row, which would be discarded. A beam of complete
+  slots is a fixed point: decoding stops there, charging the steps left.
+  Used for exact equivalence checks between strategies.
 * ``practical`` -- per step the top-2k candidates are popped; candidates
   ending in EOS are routed to a finished pool (best k kept) and the beam
   is refilled with the top-k incomplete popped candidates. Decoding stops
@@ -66,10 +67,10 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
     Each step ranks the whole beam's candidates in one ``_ranked`` call
     (one batch), and ``pick(beam, entries, n)`` reads the ranked entries
     as far as it needs and returns the ones the strategy keeps, in its
-    own order: the next beam in raw mode (n = k),
-    which runs ``max_len`` fixed steps; the popped candidates in
-    practical mode (n = 2k), which routes the complete ones to the
-    finished pool.
+    own order: the next beam in raw mode (n = k), which runs ``max_len``
+    fixed steps or stops at a beam that steps to itself, charging the
+    steps left; the popped candidates in practical mode (n = 2k), which
+    routes the complete ones to the finished pool.
     """
     k = config.beam_width
     eos = counted.vocabulary.eos_id
@@ -79,8 +80,11 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
 
     beam = [Hypothesis.initial(counted.vocabulary)]
     if config.mode == "raw":
-        for _ in range(config.max_len):
-            beam = step(beam, k)
+        for steps_left in range(config.max_len - 1, -1, -1):
+            prev, beam = beam, step(beam, k)
+            if beam == prev:  # all complete, so each step left returns it too
+                counted.calls += len(beam) * steps_left
+                break
         finished = [h for h in beam if h.complete]
         return _result(canonical_best(finished or beam), finished, beam, counted.calls)
     finished: list[Hypothesis] = []
@@ -278,8 +282,7 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     return _search(counted, inp.context, config, pick)
 
 
-def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
-                trace: Optional[list] = None) -> DecodeResult:
+def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Lookbehind heuristic beam search.
 
     Beam slots are processed sequentially in descending previous-step
@@ -291,12 +294,8 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
     leftover pool alone. The slots split one step's ranked entries, so
     the rows of every slot come from one batch, as in beam search and
     LBS; a ``Hypothesis`` is built only for a popped entry.
-
-    If ``trace`` is a list, a per-step record is appended with the sorted
-    previous beam and each slot's pool snapshot and popped candidates.
     """
     counted = CountingScorer(scorer)
-    eos = counted.vocabulary.eos_id
     pops = 1 if config.mode == "raw" else 2
 
     def pick(beam, entries, _):
@@ -308,19 +307,13 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig,
             children[rank[e[2].tokens]].append(e)
         leftover: list[_Entry] = []
         popped: list[_Entry] = []
-        slots = []
         for i in range(config.beam_width):
             # a slot past the previous beam takes from the leftover pool alone
             pool = sorted(leftover + children[i], key=_canonical) if i < len(prev) else leftover
             if not pool:
                 break
-            taken, leftover = pool[:pops], pool[pops:]
-            popped += taken
-            if trace is not None:
-                hyps = [_hypothesis(e, eos) for e in pool]
-                slots.append({"slot": i, "pool": hyps, "popped": hyps[:pops]})
-        if trace is not None:
-            trace.append({"prev": prev, "slots": slots})
+            popped += pool[:pops]
+            leftover = pool[pops:]
         return popped if config.mode == "raw" else sorted(popped, key=_canonical)
 
     return _search(counted, inp.context, config, pick)

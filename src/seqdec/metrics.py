@@ -22,7 +22,7 @@ from seqdec.scorers import Scorer
 def surprisal_series(scorer: Scorer, inp: DecodeInput,
                      tokens: Sequence[int]) -> tuple[float, ...]:
     """Per-step surprisals of a token sequence, recomputed directly from
-    the scorer (independent of any decode trace)."""
+    the scorer, not from a decode's hypotheses."""
     if not tokens or tokens[0] != scorer.vocabulary.bos_id:
         raise ValueError("sequence must begin with BOS")
     values = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from seqdec.core import NEG_INF, Row, Vocabulary
@@ -77,12 +78,12 @@ class TableModel:
                  default_row: dict[str, float]):
         self.vocabulary = vocabulary
         for key, row in list(rows.items()) + [("<default>", default_row)]:
-            # written so that a NaN fails both tests
+            # a NaN fails both tests; the first compares an int of any size exactly
+            if not all(0.0 <= p <= 1.0 for p in row.values()):
+                raise ValueError(f"row {key!r} has probabilities outside [0, 1]")
             total = sum(row.values())
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"row {key!r} sums to {total}, not 1")
-            if not all(0.0 <= p <= 1.0 for p in row.values()):
-                raise ValueError(f"row {key!r} has probabilities outside [0, 1]")
             _check_extension_tokens(vocabulary, f"row {key!r}", row)
         ids = vocabulary.token_ids
         for key in rows:
@@ -145,8 +146,9 @@ class NgramModel:
         _check_order_alpha(order, alpha)
         if not isinstance(counts, dict) or not all(
                 isinstance(c, dict) and all(type(n) is int and n >= 0 for n in c.values())
-                for c in counts.values()):
-            raise ValueError("counts must map each history to integer counts >= 0")
+                and sum(c.values()) <= sys.float_info.max for c in counts.values()):
+            raise ValueError("counts must map each history to integer counts >= 0 "
+                             "whose sum fits a float")
         ids = vocabulary.token_ids
         for history, ctx_counts in counts.items():
             _check_extension_tokens(vocabulary, f"history {history!r}", ctx_counts)

@@ -5,7 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from seqdec.core import NEG_INF, DecodeInput, Hypothesis, Vocabulary, extend
+from seqdec.core import (
+    NEG_INF,
+    DecodeConfig,
+    DecodeInput,
+    DecodeResult,
+    Hypothesis,
+    Vocabulary,
+    canonical_best,
+    canonical_sorted,
+    extend,
+)
+from seqdec.decode import lhbs_decode
 from seqdec.oracle import breadth_first_lookahead, sum_left_to_right
 from seqdec.scorers import CountingScorer, TableModel
 
@@ -145,6 +156,84 @@ def lbs_reference_decode(scorer, context: str, d: int, k: int, n_max: int):
     for _ in range(n_max):
         beam = lbs_reference_step(counted, context, beam, d, k)
     return beam, counted.calls
+
+
+def lhbs_reference_decode(scorer, context: str, k: int, n_max: int, mode: str):
+    """Lookbehind heuristic beam search written out slot by slot on
+    Hypothesis objects, one scorer call per previous beam slot.
+
+    Slot i pops the canonical best of the leftover pool of slot i-1 plus
+    the children of the i-th previous hypothesis (one pop in raw mode,
+    two in practical mode); a complete raw slot is its own sole child and
+    is charged without asking the scorer. Structurally independent of the
+    ranked-entry kernel in ``seqdec.decode``.
+
+    Returns (DecodeResult, steps), one step per beam step run:
+    ``{"prev": canonically sorted previous beam, "slots": [{"slot": i,
+    "pool": sorted pool, "popped": popped hypotheses}, ...]}``.
+    """
+    counted = CountingScorer(scorer)
+    vocab = scorer.vocabulary
+    pops = 1 if mode == "raw" else 2
+    steps = []
+
+    def step(beam):
+        prev = canonical_sorted(beam)
+        leftover, popped, slots = [], [], []
+        for i in range(k):
+            pool = list(leftover)
+            if i < len(prev):
+                h = prev[i]
+                if h.complete:
+                    counted.charge()
+                    pool.append(h)
+                else:
+                    row = counted.next_logprobs(context, h.tokens)
+                    pool += [extend(h, tid, row[tid], vocab.eos_id)
+                             for tid in vocab.extension_ids]
+            if not pool:
+                break
+            pool = canonical_sorted(pool)
+            taken, leftover = pool[:pops], pool[pops:]
+            popped += taken
+            slots.append({"slot": i, "pool": pool, "popped": taken})
+        steps.append({"prev": prev, "slots": slots})
+        return popped
+
+    beam = [Hypothesis.initial(vocab)]
+    if mode == "raw":
+        for _ in range(n_max):
+            beam = step(beam)
+        finished = [h for h in beam if h.complete]
+        best = canonical_best(finished or beam)
+    else:
+        finished = []
+        for _ in range(n_max):
+            popped = canonical_sorted(step(beam))
+            beam = [h for h in popped if not h.complete][:k]
+            finished = canonical_sorted(finished + [h for h in popped if h.complete])[:k]
+            if not beam:
+                break
+            if finished and max(h.cum_logprob for h in beam) <= finished[0].cum_logprob:
+                break
+        best = finished[0] if finished else canonical_best(beam)
+    result = DecodeResult(best, tuple(canonical_sorted(finished)), tuple(beam), counted.calls)
+    return result, steps
+
+
+def assert_lhbs_steps_match_reference(scorer, inp: DecodeInput, k: int, n_max: int,
+                                      mode: str) -> list:
+    """Assert that ``lhbs_decode`` at every ``max_len`` from 1 to ``n_max``
+    returns the reference's result on every field, and return the
+    reference's step records at ``n_max``. A beam after t steps does not
+    depend on ``max_len``, so this pins the decoder to the reference one
+    step at a time, and the records are the decoder's steps."""
+    for t in range(1, n_max + 1):
+        got = lhbs_decode(scorer, inp, DecodeConfig(beam_width=k, max_len=t,
+                                                    strategy="lhbs", mode=mode))
+        want, steps = lhbs_reference_decode(scorer, inp.context, k, t, mode)
+        assert got == want, f"k {k} mode {mode} max_len {t}"
+    return steps
 
 
 def reference_eval_lookahead(scorer, context: str, h, d: int, f_max: float = NEG_INF) -> float:

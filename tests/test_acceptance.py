@@ -34,7 +34,12 @@ from seqdec.oracle import (
 from seqdec.remote import RemoteScorer, ScorerServer
 from seqdec.scorers import train_ngram
 
-from conftest import lbs_reference_decode, make_tiny3, random_table_model
+from conftest import (
+    assert_lhbs_steps_match_reference,
+    lbs_reference_decode,
+    make_tiny3,
+    random_table_model,
+)
 
 INP = DecodeInput("acc", "")
 
@@ -93,9 +98,7 @@ def test_criterion_3_proposition_2_lhbs():
         nv, n_max = case_params(seed)
         k = (1, 2, 4)[seed % 3]
         model = random_table_model(seed, nv, n_max)
-        trace = []
-        lhbs_decode(model, INP, raw_cfg("lhbs", k, n_max=n_max), trace=trace)
-        for step in trace:
+        for step in assert_lhbs_steps_match_reference(model, INP, k, n_max, "raw"):
             prev_sorted = step["prev"]
             for record in step["slots"]:
                 i, pool = record["slot"], record["pool"]
@@ -273,13 +276,11 @@ def test_criterion_8_fixture_golden_values():
     l = lbs_decode(tiny3, inp, raw_cfg("lbs", 1, d=1, n_max=3))
     assert l.best.tokens[1] == 1
 
-    # LHBS practical k=2 step trace
-    trace = []
+    # LHBS practical k=2 steps, read off the reference the decoder equals
     lh = lhbs_decode(tiny3, inp, DecodeConfig(beam_width=2, max_len=3,
-                                              strategy="lhbs", mode="practical"),
-                     trace=trace)
+                                              strategy="lhbs", mode="practical"))
     assert lh.best.tokens == (0, 1, 3)
-    step2 = trace[1]
+    step2 = assert_lhbs_steps_match_reference(tiny3, inp, 2, 3, "practical")[1]
     assert [h.tokens for h in step2["slots"][0]["popped"]] == [(0, 1, 3), (0, 1, 2)]
     assert [h.tokens for h in step2["slots"][1]["popped"]] == [(0, 2, 1), (0, 2, 2)]
 

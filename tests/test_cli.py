@@ -79,6 +79,16 @@ class TestDecodeCommand:
             outs.append(records)
         assert outs[0] == outs[1]
 
+    def test_empty_corpus_writes_an_empty_file(self, tiny3_files):
+        tmp, model, _ = tiny3_files
+        empty = tmp / "empty.jsonl"
+        empty.write_text("\n")
+        out = tmp / "o.jsonl"
+        rc = main(["decode", "--strategy", "beam", "--model", model,
+                   "--input", str(empty), "--output", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == b""  # not one blank JSONL line
+
     def test_remote_transport_failure(self, tiny3_files):
         tmp, model, corpus = tiny3_files
         rc = main(["decode", "--strategy", "beam", "--scorer", "remote",
@@ -232,6 +242,26 @@ def test_model_file_of_the_wrong_shape_exits_2(tmp_path, capsys, scorer, obj, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scorer,obj,message", [
+    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": {},
+               "default": {"a": 10**400, "</s>": 0}}, "outside \\[0, 1\\]"),
+    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+               "counts": {"<s>": {"a": 10**400}}}, "whose sum fits a float"),
+], ids=["table", "ngram"])
+def test_model_holding_a_huge_integer_exits_2(tmp_path, capsys, scorer, obj, message):
+    # converting 10**400 to a float raised OverflowError (exit 1)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "s1", "context": ""}\n')
+    out = tmp_path / "out.jsonl"
+    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3", "--scorer", scorer,
+               "--model", str(model), "--input", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert re.search("cannot load model .*" + message, capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines,lineno", [
     (['5'], 1),
     (['{"id": "s1"}', '["s2"]'], 2),
@@ -323,6 +353,17 @@ class TestOracleCommand:
         assert rc == 0
         records = read_jsonl(out)
         assert len(records) == 3  # one line per complete sequence
+
+    @pytest.mark.parametrize("flags", [[], ["--enumerate"]], ids=["map", "enumerate"])
+    def test_empty_corpus_writes_an_empty_file(self, tiny3_files, flags):
+        tmp, model, _ = tiny3_files
+        empty = tmp / "empty.jsonl"
+        empty.write_text("")
+        out = tmp / "o.jsonl"
+        rc = main(["oracle", *flags, "--max-len", "2", "--model", model,
+                   "--input", str(empty), "--output", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == b""  # not one blank JSONL line
 
     def test_budget_refusal(self, tiny3_files):
         tmp, model, corpus = tiny3_files

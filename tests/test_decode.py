@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import seqdec
 from seqdec.core import (
     NEG_INF,
     BudgetExceededError,
@@ -24,7 +29,12 @@ from seqdec.decode import (
 from seqdec.oracle import breadth_first_lookahead, brute_force_map, enumerate_all
 from seqdec.scorers import CountingScorer, TableModel
 
-from conftest import lbs_reference_decode, one_hot_model, random_table_model
+from conftest import (
+    assert_lhbs_steps_match_reference,
+    lbs_reference_decode,
+    one_hot_model,
+    random_table_model,
+)
 
 
 def cfg(strategy, k=1, d=0, n_max=3, mode="raw", **kw):
@@ -247,11 +257,10 @@ class TestLBS:
 
 class TestLHBS:
     def test_tiny3_practical_k2_trace(self, tiny3, inp):
-        trace = []
-        r = lhbs_decode(tiny3, inp, cfg("lhbs", k=2, n_max=3, mode="practical"), trace=trace)
+        r = lhbs_decode(tiny3, inp, cfg("lhbs", k=2, n_max=3, mode="practical"))
         vocab = tiny3.vocabulary
         assert strs(vocab, r.best) == ["<s>", "a", "</s>"]
-        step2 = trace[1]
+        step2 = assert_lhbs_steps_match_reference(tiny3, inp, 2, 3, "practical")[1]
         slot1, slot2 = step2["slots"]
         popped1 = [tuple(strs(vocab, h)) for h in slot1["popped"]]
         popped2 = [tuple(strs(vocab, h)) for h in slot2["popped"]]
@@ -277,9 +286,7 @@ class TestLHBS:
         for seed in range(25):
             model = random_table_model(seed, 4, 4)
             k = 2 + seed % 3
-            trace = []
-            lhbs_decode(model, inp, cfg("lhbs", k=k, n_max=4, mode="raw"), trace=trace)
-            for step in trace:
+            for step in assert_lhbs_steps_match_reference(model, inp, k, 4, "raw"):
                 prev_sorted = step["prev"]
                 for record in step["slots"]:
                     i = record["slot"]
@@ -352,6 +359,50 @@ class TestModes:
                 }[strategy](model, inp, cfg(strategy, k=2, d=1, n_max=4, mode=mode))
                 if r.best.complete:
                     assert bf.cum_logprob >= r.best.cum_logprob - 1e-12
+
+
+    def test_a_settled_raw_beam_returns_what_every_step_would(self, inp):
+        # every beam on this model is all complete within five steps; the
+        # references run each step
+        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        model = TableModel(vocab, {}, {"a": 0.1, "</s>": 0.9})
+        for k in (1, 2, 4):
+            lbs_calls = []
+            for n_max in range(1, 13):
+                b = beam_decode(model, inp, cfg("beam", k=k, n_max=n_max))
+                assert (list(b.final_beam), b.scorer_calls) == lbs_reference_decode(
+                    model, "", 0, k, n_max)
+                r = lbs_decode(model, inp, cfg("lbs", k=k, d=1, n_max=n_max))
+                assert list(r.final_beam) == lbs_reference_decode(model, "", 1, k, n_max)[0]
+                lbs_calls.append(r.scorer_calls)
+            # the reference also counts its breadth-first lookahead, so LBS's
+            # settled steps are checked by their cost: one call per slot
+            assert [b - a for a, b in zip(lbs_calls[6:], lbs_calls[7:])] == [len(r.final_beam)] * 5
+            assert_lhbs_steps_match_reference(model, inp, k, 12, "raw")
+
+    def test_a_settled_raw_beam_stops_at_any_max_len(self):
+        # 10^9 steps, each charging k logical calls, would take hours; the
+        # decodes run in a child so a missing exit fails by the timeout
+        code = """if True:
+            import json
+            from seqdec.core import DecodeConfig, DecodeInput, Vocabulary
+            from seqdec.decode import decode
+            from seqdec.scorers import TableModel
+            vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+            model = TableModel(vocab, {}, {"a": 0.1, "</s>": 0.9})
+            print(json.dumps({s: decode(model, DecodeInput("x"), DecodeConfig(
+                beam_width=4, lookahead_depth=d, max_len=10**9, strategy=s, mode="raw"
+            )).scorer_calls for s, d in (("beam", 0), ("lbs", 1), ("lhbs", 0))}))
+        """
+        src = str(Path(seqdec.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        # the paper's count: one logical call per beam slot per step
+        assert json.loads(done.stdout) == {
+            "beam": 3_999_999_994, "lbs": 3_999_999_997, "lhbs": 3_999_999_994}
 
 
 class TestLookaheadBudget:

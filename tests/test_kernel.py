@@ -21,6 +21,7 @@ from seqdec.scorers import CountingScorer, TableModel
 
 from conftest import (
     PrefixRecorder,
+    assert_lhbs_steps_match_reference,
     lbs_reference_decode,
     random_table_model,
     reference_eval_lookahead,
@@ -253,16 +254,18 @@ def _fields(result):
             [_hyp(h) for h in result.final_beam], result.scorer_calls]
 
 
-def _trace(trace):
+def _steps(steps):
     return [[[_hyp(h) for h in step["prev"]],
              [[rec["slot"], [_hyp(h) for h in rec["pool"]], [_hyp(h) for h in rec["popped"]]]
               for rec in step["slots"]]]
-            for step in trace]
+            for step in steps]
 
 
-#: SHA-256 over the LHBS (raw and practical, k in 1, 2, 3, 5, with traces)
-#: and exhaustive outputs below, recorded before LHBS moved onto the
-#: ranked-entry kernel and exhaustive search onto an explicit stack.
+#: SHA-256 over the LHBS (raw and practical, k in 1, 2, 3, 5, with each
+#: step's slot records) and exhaustive outputs below, recorded before LHBS
+#: moved onto the ranked-entry kernel and exhaustive search onto an
+#: explicit stack. The slot records now come from the reference LHBS,
+#: which ``lhbs_decode`` equals at every ``max_len``.
 PINNED_LHBS_EXHAUSTIVE = "4d11a7d772e755577ca83817cb1ce202e9a8bbe2e0fd50bafbc4192faf83e39c"
 
 
@@ -272,10 +275,10 @@ def test_lhbs_and_exhaustive_outputs_match_the_recorded_digest():
         model = random_table_model(seed, 3 + seed % 3, 4, allow_zero=(seed % 4 == 0))
         for mode in ("raw", "practical"):
             for k in (1, 2, 3, 5):
-                trace = []
+                steps = assert_lhbs_steps_match_reference(model, INP, k, 5, mode)
                 result = lhbs_decode(model, INP, DecodeConfig(
-                    beam_width=k, max_len=5, strategy="lhbs", mode=mode), trace=trace)
-                record = [seed, mode, k, _fields(result), _trace(trace)]
+                    beam_width=k, max_len=5, strategy="lhbs", mode=mode))
+                record = [seed, mode, k, _fields(result), _steps(steps)]
                 digest.update(json.dumps(record).encode())
         result = exhaustive_decode(model, INP, DecodeConfig(max_len=5, strategy="exhaustive"))
         digest.update(json.dumps([seed, _fields(result)]).encode())
