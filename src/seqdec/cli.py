@@ -109,7 +109,13 @@ def _make_scorer(args):
         except (OSError, KeyError, ValueError) as exc:
             raise UsageError(f"cannot load vocabulary from {args.model}: {exc}") from exc
         host, _, port = args.endpoint.rpartition(":")
-        return RemoteScorer(vocab, host, int(port))
+        try:
+            number = int(port)
+        except ValueError:
+            number = 0
+        if not 1 <= number <= 65535:  # the resolver would wrap it modulo 65536
+            raise UsageError(f"--endpoint {args.endpoint}: the port must be 1 to 65535")
+        return RemoteScorer(vocab, host, number)
     if not args.model:
         raise UsageError("--model required")
     try:

@@ -21,8 +21,9 @@ Two execution modes are supported:
 from __future__ import annotations
 
 from bisect import insort
+from heapq import heappop, heappush
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from seqdec.core import (
@@ -105,7 +106,6 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
 # carried forward as its own sole child. The first two fields give the
 # canonical order without a Hypothesis being built.
 _Entry = tuple[float, tuple[int, ...], Hypothesis, Optional[float]]
-_canonical = itemgetter(0, 1)
 _tokens = attrgetter("tokens")
 
 
@@ -289,32 +289,34 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
     score. Slot i pops from the leftover pool of slot i-1 plus the
     children of the i-th previous hypothesis, so previous-step rank
     influences which candidates survive. Raw mode pops one candidate per
-    slot; practical mode pops two. When the previous beam holds fewer
-    hypotheses than there are slots, the extra slots pop from the
-    leftover pool alone. The slots split one step's ranked entries, so
-    the rows of every slot come from one batch, as in beam search and
-    LBS; a ``Hypothesis`` is built only for a popped entry.
+    slot; practical mode pops two (the kernel's n over k). When the
+    previous beam holds fewer hypotheses than there are slots, the extra
+    slots pop from the leftover pool alone. The slots read the step's one
+    ranking once, in canonical order, and stop when they are full: an
+    entry read before its parent's slot waits for it, and the pool is
+    read on only while it is empty, as no unread entry ranks above it.
     """
     counted = CountingScorer(scorer)
-    pops = 1 if config.mode == "raw" else 2
 
-    def pick(beam, entries, _):
-        prev = canonical_sorted(beam)
-        # slot i's own children, in canonical order as the split is stable
-        rank = {h.tokens: i for i, h in enumerate(prev)}
-        children: list[list[_Entry]] = [[] for _ in prev]
-        for e in entries:
-            children[rank[e[2].tokens]].append(e)
-        leftover: list[_Entry] = []
+    def pick(beam, entries, n):
+        slot = {id(h): i for i, h in enumerate(canonical_sorted(beam))}  # hashing h reads its tuples
+        waiting: list[list[_Entry]] = [[] for _ in beam]  # read before their slot
+        pool: list[_Entry] = []  # a heap; (-score, tokens) is unique within a step
         popped: list[_Entry] = []
         for i in range(config.beam_width):
-            # a slot past the previous beam takes from the leftover pool alone
-            pool = sorted(leftover + children[i], key=_canonical) if i < len(prev) else leftover
-            if not pool:
-                break
-            popped += pool[:pops]
-            leftover = pool[pops:]
-        return popped if config.mode == "raw" else sorted(popped, key=_canonical)
+            for e in waiting[i] if i < len(beam) else ():
+                heappush(pool, e)
+            for _ in range(n // config.beam_width):
+                if pool:
+                    popped.append(heappop(pool))
+                    continue
+                for e in entries:
+                    j = slot[id(e[2])]
+                    if j <= i:
+                        popped.append(e)
+                        break
+                    waiting[j].append(e)
+        return popped if config.mode == "raw" else sorted(popped)
 
     return _search(counted, inp.context, config, pick)
 

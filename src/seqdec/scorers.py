@@ -149,6 +149,14 @@ class NgramModel:
                 and sum(c.values()) <= sys.float_info.max for c in counts.values()):
             raise ValueError("counts must map each history to integer counts >= 0 "
                              "whose sum fits a float")
+        # a row's total is its count sum plus alpha over the extension set;
+        # each sum fits a float (compared exactly above), so adding cannot raise
+        mass = alpha * len(vocabulary.extension_ids)
+        sums = [sum(c.values()) for c in counts.values()]
+        if not all(alpha / (n + mass) > 0.0 for n in [0, *sums]):  # 0: an unseen history
+            raise ValueError(f"alpha {alpha!r} does not fit these counts: a history's count "
+                             "sum + alpha * |extension set| must be a finite float, and "
+                             "alpha over it must not round to 0")
         ids = vocabulary.token_ids
         for history, ctx_counts in counts.items():
             _check_extension_tokens(vocabulary, f"history {history!r}", ctx_counts)

@@ -96,6 +96,20 @@ class TestDecodeCommand:
                    "--input", corpus, "--output", str(tmp / "o.jsonl")])
         assert rc == 3
 
+    @pytest.mark.parametrize("port", ["0", "-1", "65536", "65537", "x", ""])
+    def test_endpoint_port_out_of_range_exits_2(self, tiny3_files, capsys, port):
+        # the resolver wrapped 65537 to port 1, so 127.0.0.1:{P + 65536}
+        # decoded against a server on port P, and -1 read as a transport
+        # failure (exit 3); no connection is tried
+        tmp, model, corpus = tiny3_files
+        endpoint = f"127.0.0.1:{port}"
+        rc = main(["decode", "--strategy", "beam", "--scorer", "remote",
+                   "--model", model, "--endpoint", endpoint,
+                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
+        assert rc == 2
+        assert f"--endpoint {endpoint}: the port must be 1 to 65535" in capsys.readouterr().err
+        assert not (tmp / "o.jsonl").exists()
+
 
 CORPUS_TXT = str(Path(__file__).parent / "data" / "corpus.txt")
 
@@ -332,6 +346,31 @@ class TestTrainCommand:
                    "--input", str(corpus), "--output", str(tmp_path / "o.jsonl")])
         assert rc == 2
         assert "cannot load model" in capsys.readouterr().err
+
+    def test_alpha_times_the_extension_set_overflowing_rejected(self, tmp_path, capsys):
+        # alpha * 3 extension tokens is inf, so building the unseen row took
+        # log(alpha / inf) and printed only "error: math domain error"
+        corpus = tmp_path / "text.txt"
+        corpus.write_text("a b\n")
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", str(corpus), "--output", str(out), "--alpha", "1e308"])
+        assert rc == 2
+        assert "alpha 1e+308 does not fit these counts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_whose_count_sum_plus_alpha_overflows_rejected_on_load(self, tmp_path,
+                                                                           capsys):
+        # the model loaded and failed mid-decode with "error: math domain error"
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 1e307,
+                                     "counts": {"<s>": {"a": 17 * 10**307}}}))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "s1", "context": ""}\n')
+        rc = main(["decode", "--strategy", "beam", "--scorer", "ngram", "--model", str(model),
+                   "--input", str(corpus), "--output", str(tmp_path / "o.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cannot load model" in err and "alpha 1e+307 does not fit" in err
 
 
 class TestOracleCommand:

@@ -46,6 +46,18 @@ def strs(vocab, hyp):
     return vocab.to_strings(hyp.tokens)
 
 
+def run_in_child(code: str):
+    """The JSON that ``code`` prints, run by a fresh interpreter that
+    imports this seqdec; a run over 30 s fails the test."""
+    src = str(Path(seqdec.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestGreedy:
     def test_tiny3(self, tiny3, inp):
         r = greedy_decode(tiny3, inp, cfg("greedy"))
@@ -334,6 +346,24 @@ class TestLHBS:
         assert set(r.final_beam) == set(b.final_beam) and r.best == b.best
         assert peak < 500_000
 
+    def test_wide_raw_beam_reads_the_ranking_once(self):
+        # sorting each slot's pool anew took 100 s (2 cores, Python 3.11);
+        # one pass over the step's ranking costs about what beam search
+        # does. The decodes run in a child, so a quadratic pick fails by
+        # the timeout
+        code = """if True:
+            import json
+            from seqdec.core import DecodeConfig, DecodeInput
+            from seqdec.decode import decode
+            from seqdec.scorers import train_ngram
+            with open(%r, encoding="utf-8") as f:
+                model = train_ngram(f, 2, 1.0)
+            print(json.dumps({s: decode(model, DecodeInput("x", "the"), DecodeConfig(
+                beam_width=4096, max_len=12, strategy=s, mode="raw")).scorer_calls
+                for s in ("beam", "lhbs")}))
+        """ % str(Path(__file__).parent / "data" / "corpus.txt")
+        assert run_in_child(code) == {"beam": 34_002, "lhbs": 34_002}
+
 
 class TestModes:
     def test_practical_early_stop_is_sound(self, inp):
@@ -394,14 +424,8 @@ class TestModes:
                 beam_width=4, lookahead_depth=d, max_len=10**9, strategy=s, mode="raw"
             )).scorer_calls for s, d in (("beam", 0), ("lbs", 1), ("lhbs", 0))}))
         """
-        src = str(Path(seqdec.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=30)
-        assert done.returncode == 0, done.stderr
         # the paper's count: one logical call per beam slot per step
-        assert json.loads(done.stdout) == {
+        assert run_in_child(code) == {
             "beam": 3_999_999_994, "lbs": 3_999_999_997, "lhbs": 3_999_999_994}
 
 

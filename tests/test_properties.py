@@ -12,16 +12,38 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from seqdec.core import NEG_INF, Hypothesis, Row, Vocabulary, extend  # noqa: E402
-from seqdec.decode import _hypothesis, _ranked, eval_lookahead  # noqa: E402
+from seqdec.core import (  # noqa: E402
+    NEG_INF,
+    DecodeConfig,
+    DecodeInput,
+    Hypothesis,
+    Row,
+    Vocabulary,
+    extend,
+)
+from seqdec.decode import (  # noqa: E402
+    _hypothesis,
+    _ranked,
+    beam_decode,
+    eval_lookahead,
+    exhaustive_decode,
+    lbs_decode,
+)
+from seqdec.oracle import enumerate_all  # noqa: E402
 from seqdec.remote import RemoteScorer, _read_response, _respond  # noqa: E402
 from seqdec.scorers import CountingScorer, NgramModel, TableModel  # noqa: E402
 
-from conftest import PrefixRecorder, reference_eval_lookahead, uniform_model  # noqa: E402
+from conftest import (  # noqa: E402
+    PrefixRecorder,
+    assert_lhbs_steps_match_reference,
+    reference_eval_lookahead,
+    uniform_model,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 WORDS = ["a", "b", "c", "d"]
+INP = DecodeInput("p")
 
 
 @st.composite
@@ -186,6 +208,35 @@ def test_lookahead_equals_the_reference(model, d, data):
             == reference_eval_lookahead(want, "", h, d, f_max).hex())
     assert got.inner.asked == want.inner.asked
     assert got.calls == want.calls
+
+
+# ------------------------------------------------------------ decoders
+
+
+MODES = st.sampled_from(["raw", "practical"])
+
+
+@PROPERTY
+@given(dyadic_table_models(), st.integers(1, 5), st.integers(1, 4), MODES)
+def test_proposition1_lbs_at_depth_0_is_beam_search(model, k, n_max, mode):
+    config = DecodeConfig(beam_width=k, max_len=n_max, mode=mode)
+    assert lbs_decode(model, INP, config) == beam_decode(model, INP, config)
+
+
+@PROPERTY
+@given(dyadic_table_models(), st.integers(1, 4))
+def test_pruned_exhaustive_search_is_the_enumeration_argmax(model, n_max):
+    best = exhaustive_decode(model, INP, DecodeConfig(max_len=n_max)).best
+    tokens, score = min(enumerate_all(model, INP, n_max), key=lambda ts: (-ts[1], ts[0]))
+    assert (best.tokens, best.cum_logprob.hex()) == (tokens, score.hex())
+
+
+@PROPERTY
+@given(dyadic_table_models(), st.integers(1, 5), MODES)
+def test_lhbs_equals_the_reference_at_every_step(model, k, mode):
+    # exact ties are common here, so the canonical tie-break of each pool
+    # is checked as well as the slot rule
+    assert_lhbs_steps_match_reference(model, INP, k, 4, mode)
 
 
 # ------------------------------------------------------------ read-only rows

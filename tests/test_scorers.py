@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 from pathlib import Path
@@ -225,6 +226,23 @@ class TestModelValidation:
             NgramModel(self.VOCAB, 2, alpha, {"<s>": {"a": 1}})
         with pytest.raises(ValueError, match="alpha"):
             train_ngram(["a"], order=2, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha,counts", [
+        (1e308, {}),  # alpha * 2 extension tokens is inf
+        (1e307, {"<s>": {"a": 17 * 10**307}}),  # the count sum plus 2e307 is inf
+        (1e-300, {"<s>": {"a": 10**300}}),  # alpha over the total rounds to 0
+    ], ids=["alpha-overflow", "total-overflow", "unseen-underflow"])
+    def test_alpha_must_fit_the_counts(self, alpha, counts):
+        # each would divide by inf or take the log of 0 when the row is made
+        message = re.escape(f"alpha {alpha!r} does not fit these counts")
+        with pytest.raises(ValueError, match=message):
+            NgramModel(self.VOCAB, 2, alpha, counts)
+
+    def test_alpha_at_the_edge_of_the_counts_is_accepted(self):
+        # 1e307 + 1e307 * 2 and 5e-324 / (1 + 1e-323) are finite and > 0
+        for alpha, counts in ((1e307, {"<s>": {"a": 10**307}}), (5e-324, {"<s>": {"a": 1}})):
+            row = NgramModel(self.VOCAB, 2, alpha, counts).next_logprobs("", (0,))
+            assert all(-math.inf < lp <= 0.0 for lp in row.values())
 
     @pytest.mark.parametrize("count", [-1, 1.5, 2.0, "1", None])
     def test_counts_must_be_integers_ge_0(self, count):
