@@ -102,8 +102,6 @@ class Row(tuple):
     """
 
     _ranked: tuple[int, ...] | None = None
-    #: The row's JSON text on the wire, kept by ``seqdec.remote``.
-    _wire: str | None = None
 
     @classmethod
     def of(cls, vocab: Vocabulary, lps: Iterable[float]) -> Row:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import insort
 from heapq import heappop, heappush
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Iterator, Optional, Sequence
 
 from seqdec.core import (
@@ -83,7 +83,8 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
     if config.mode == "raw":
         for steps_left in range(config.max_len - 1, -1, -1):
             prev, beam = beam, step(beam, k)
-            if beam == prev:  # all complete, so each step left returns it too
+            # children outgrow prev: a beam that steps to itself is all complete
+            if len(beam) == len(prev) and all(map(is_, beam, prev)):
                 counted.calls += len(beam) * steps_left
                 break
         finished = [h for h in beam if h.complete]

@@ -1,48 +1,36 @@
-"""Remote scorer client and loopback server.
+"""Remote scorer client and loopback server, speaking wire protocol v3.
 
-Wire protocol v2: newline-delimited JSON over a reliable byte stream,
-one request per batch of prefixes, so a beam step costs one round trip.
+Newline-delimited JSON over a reliable byte stream (the README's "Wire
+protocol" section is the full specification), one request per batch of
+at most ``MAX_REQUEST_PREFIXES`` prefixes, so a beam step costs one
+round trip:
 Request:  {"id": uint, "context": str, "prefixes": [[token string, ...], ...]}
-Response: {"id": uint, "rows": [[float or null, ...], ...]}
-with one row per prefix, in request order, each holding a value for
-every extension token in extension-id order (vocabulary order without
-BOS). null is a zero-probability token (log-probability -inf), so every
-message is strict JSON, without NaN or Infinity. Ids are echoed; the
-peer answers requests in order. There is no version field: a server from
-before v2 answers a v2 request with the error "KeyError: 'prefix'", which
-the client raises as ScorerTransportError.
+Response: {"id": uint, "rows": [[float or null, ...] or uint, ...]}
+One row per prefix, in request order. A row sent as a list holds one
+value per extension token in extension-id order (vocabulary order
+without BOS), null for -inf, so every message is strict JSON. Until it
+has read a reply with rows, the client adds "extension_tokens" (its
+extension tokens in extension-id order) to each request, and the server
+refuses a list that differs from its own.
 
-Rows are positional, so both ends must list the same extension tokens
-in the same order. Until it has read a reply with rows, the client adds
-"extension_tokens": [token string, ...] (its extension tokens in
-extension-id order) to each request; the server answers a request whose
-list differs from its own with an error reply, so a vocabulary that is
-permuted, or of the same size with other tokens, is a
-ScorerTransportError and not a silently wrong decode.
+Rows are numbered per connection. The server sends a row's values the
+first time it sends that row object on the connection, and after that
+its number: 0, 1, 2, ... in the order rows were first sent. It keys rows
+by identity, not value (tuple equality reads -0.0 as 0.0), and numbers a
+reply's new rows once the reply is built, so an error reply numbers
+nothing. Each end numbers rows only while they hold at most
+``MAX_NUMBERED_VALUES`` values (rows x extension tokens); past that,
+rows go as lists. The client checks each list once (one JSON number or
+null per extension token, mass 1 within 1e-6, none positive) into a
+``Row``, and reads a number back as the same ``Row``.
 
-The client checks every row on receipt and returns it as a ``Row``: one
-JSON number or null per extension token, normalization within 1e-6
-(looser than the in-process 1e-9 to tolerate text round-trip rounding;
-a NaN fails it) and no positive value. A request the server cannot
-answer (bad JSON, a NaN or Infinity in it, no "prefixes" list, an
-unknown token or a prefix without BOS anywhere in the batch, a scorer
-row that ``CountingScorer`` refuses) gets one reply, {"id": uint or
-null, "error": str}, and the connection stays open. A request line
-longer than ``MAX_REQUEST_BYTES`` (newline included) gets the error
-reply with id null, and the server closes the connection: it reads no
-more of the line, so it cannot find where the next request begins.
-
-The client reads at most 32 bytes per value the request asks for
-(prefixes x extension tokens), plus 8 bytes per request byte (room for
-an error reply that quotes the request), plus 1024 bytes, of a reply
-line, newline included. A longer reply raises ScorerTransportError at
-once, and the client closes the connection, as it cannot find where the
-next reply begins.
-
-The server writes each ``Row``'s JSON text on the row's first reply and
-keeps it with the row, as ``Row.ranked()`` keeps its ranking; a row is
-immutable, so a shared row (every row the shipped models return) is
-printed once, and a scorer that returns mappings pays one print per call.
+A request the server cannot answer gets {"id": uint or null, "error":
+str}, and the connection stays open; a request line longer than
+``MAX_REQUEST_BYTES`` gets that reply and the connection closes. The
+client reads at most 32 bytes per value asked, 8 per request byte and
+1024 more of a reply line. When it refuses a reply it raises
+ScorerTransportError and closes the connection, as it can no longer find
+the next reply or trust that both ends number rows alike.
 """
 
 from __future__ import annotations
@@ -58,11 +46,15 @@ from seqdec.core import NEG_INF, Row, ScorerTransportError, Vocabulary
 from seqdec.scorers import CountingScorer, Scorer
 
 
-#: Reads a response line with every JSON number as a float.
-_read_response = json.JSONDecoder(parse_int=float).decode
-
 #: The longest request line, newline included, that the server reads.
 MAX_REQUEST_BYTES = 8 * 2**20
+
+#: The most prefixes one request may hold.
+MAX_REQUEST_PREFIXES = 2**16
+
+#: The most values (rows x extension tokens) the rows numbered on one
+#: connection may hold, at each end.
+MAX_NUMBERED_VALUES = 2**20
 
 #: The client's reply-line limit, as the module docstring gives it: bytes
 #: per value asked (a float's repr is at most 24), per request byte, and more.
@@ -74,7 +66,8 @@ _REPLY_SLACK_BYTES = 1024
 class RemoteScorer:
     """Client over a connected byte stream speaking the wire protocol.
 
-    ``round_trips`` counts the requests sent, one per batch.
+    ``round_trips`` counts the requests sent, one per batch of at most
+    ``MAX_REQUEST_PREFIXES`` prefixes.
     """
 
     def __init__(self, vocabulary: Vocabulary, host: str, port: int,
@@ -90,6 +83,8 @@ class RemoteScorer:
         self.round_trips = 0
         #: Sent with each request until the server has answered one with rows.
         self._extension_tokens = vocabulary.to_strings(vocabulary.extension_ids)
+        #: The rows the server has numbered on this connection, by number.
+        self._numbered: list[Row] = []
 
     def close(self) -> None:
         try:
@@ -104,7 +99,11 @@ class RemoteScorer:
 
     def next_logprobs_batch(self, context: str,
                             prefixes: Sequence[Sequence[int]]) -> list[Row]:
-        """One row per prefix, from one round trip."""
+        """One row per prefix, from one round trip per ``MAX_REQUEST_PREFIXES``."""
+        if len(prefixes) > MAX_REQUEST_PREFIXES:
+            return [row for i in range(0, len(prefixes), MAX_REQUEST_PREFIXES)
+                    for row in self.next_logprobs_batch(
+                        context, prefixes[i:i + MAX_REQUEST_PREFIXES])]
         vocabulary = self.vocabulary
         tokens = vocabulary.tokens
         with self._lock:
@@ -121,55 +120,94 @@ class RemoteScorer:
             limit = (_REPLY_BYTES_PER_VALUE * len(prefixes) * len(vocabulary.extension_ids)
                      + _REPLY_BYTES_PER_REQUEST_BYTE * len(data) + _REPLY_SLACK_BYTES)
             try:
-                self._file.write(data)
-                self._file.flush()
-                line = self._file.readline(limit + 1)
-            except OSError as exc:
-                raise ScorerTransportError(f"request failed: {exc}") from exc
-            if len(line) > limit:
-                # the rest of the line is unread, so no later reply can be found
+                response = self._exchange(data, limit)
+                if "error" not in response:
+                    return self._rows(response, req_id, len(prefixes))
+            except ScorerTransportError:
+                # the next reply cannot be found, or the two ends' numbered
+                # rows may differ
                 self.close()
-                raise ScorerTransportError(
-                    f"reply line longer than {limit} bytes; the connection is closed")
+                raise
+        # the server refused the request, and the connection stays in step
+        raise ScorerTransportError(f"server error: {response['error']}")
+
+    def _exchange(self, data: bytes, limit: int) -> dict:
+        """Sends one request line and reads its reply as a JSON object."""
+        try:
+            self._file.write(data)
+            self._file.flush()
+            line = self._file.readline(limit + 1)
+        except OSError as exc:
+            raise ScorerTransportError(f"request failed: {exc}") from exc
+        if len(line) > limit:  # the rest of the line is unread
+            raise ScorerTransportError(
+                f"reply line longer than {limit} bytes; the connection is closed")
         if not line:
             raise ScorerTransportError("peer closed the connection")
         try:
-            response = _read_response(line.decode("utf-8"))
+            response = json.loads(line.decode("utf-8"))
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise ScorerTransportError(f"malformed response: {exc}") from exc
         if not isinstance(response, dict):
             raise ScorerTransportError("malformed response: not a JSON object")
-        if "error" in response:
-            raise ScorerTransportError(f"server error: {response['error']}")
+        return response
+
+    def _rows(self, response: dict, req_id: int, n_prefixes: int) -> list[Row]:
+        """The reply's rows: each number read from the numbered rows, and
+        each list checked and numbered while the bound allows."""
         if response.get("id") != req_id:
             raise ScorerTransportError(
                 f"response id {response.get('id')} does not match request {req_id}")
         rows = response.get("rows")
-        if not isinstance(rows, list) or len(rows) != len(prefixes):
+        if not isinstance(rows, list) or len(rows) != n_prefixes:
             raise ScorerTransportError(
-                f"response must hold a list of {len(prefixes)} rows, one per prefix")
-        self._extension_tokens = None  # the server has checked them
-        return [self._row(values) for values in rows]
-
-    def _row(self, values) -> Row:
+                f"response must hold a list of {n_prefixes} rows, one per prefix")
+        numbered = self._numbered
         n_ext = len(self.vocabulary.extension_ids)
-        if not isinstance(values, list) or len(values) != n_ext:
-            raise ScorerTransportError(
-                f"response row must be a list of {n_ext} values, one per extension token")
-        lps = [NEG_INF if v is None else v for v in values]
-        malformed = [v for v in lps if type(v) is not float]  # not a JSON number
-        if malformed:
-            raise ScorerTransportError(f"malformed log-probability {malformed[0]!r}")
+        out = []
+        for item in rows:
+            if type(item) is int:  # not a bool
+                if not 0 <= item < len(numbered):
+                    raise ScorerTransportError(f"unknown row number {item}")
+                out.append(numbered[item])
+                continue
+            row = _row(self.vocabulary, item)
+            if (len(numbered) + 1) * n_ext <= MAX_NUMBERED_VALUES:  # as the server
+                numbered.append(row)
+            out.append(row)
+        self._extension_tokens = None  # the server has checked them
+        return out
+
+
+def _log_probability(value) -> float:
+    """A row value as read from JSON: null is -inf, an integer a float."""
+    if value is None:
+        return NEG_INF
+    if type(value) is int:
         try:
-            mass = sum(map(math.exp, lps))
-        except OverflowError:  # a log-probability above about 709
-            mass = math.inf
-        if not abs(mass - 1.0) <= 1e-6:  # also rejects NaN
-            raise ScorerTransportError(f"response row sums to {mass}, not 1")
-        try:
-            return Row.of(self.vocabulary, lps)
-        except ValueError as exc:  # a positive value within the mass tolerance
-            raise ScorerTransportError(f"response row: {exc}") from exc
+            return float(value)
+        except OverflowError:
+            raise ScorerTransportError(f"log-probability {value} is out of range") from None
+    raise ScorerTransportError(f"malformed log-probability {value!r}")
+
+
+def _row(vocabulary: Vocabulary, values) -> Row:
+    """The checked ``Row`` of a row the server sent as a list."""
+    n_ext = len(vocabulary.extension_ids)
+    if not isinstance(values, list) or len(values) != n_ext:
+        raise ScorerTransportError(f"response row must be a list of {n_ext} values, one per "
+                                   f"extension token, or a row number")
+    lps = [v if type(v) is float else _log_probability(v) for v in values]
+    try:
+        mass = sum(map(math.exp, lps))
+    except OverflowError:  # a log-probability above about 709
+        mass = math.inf
+    if not abs(mass - 1.0) <= 1e-6:  # also rejects NaN
+        raise ScorerTransportError(f"response row sums to {mass}, not 1")
+    try:
+        return Row.of(vocabulary, lps)
+    except ValueError as exc:  # a positive value within the mass tolerance
+        raise ScorerTransportError(f"response row: {exc}") from exc
 
 
 def _reject_constant(name: str):
@@ -200,53 +238,60 @@ _read_request = json.JSONDecoder(parse_constant=_reject_constant,
                                  parse_float=_finite_float).decode
 
 
-def _row_text(row: Row) -> str:
-    """The row's JSON text in a reply, written on its first reply and kept
-    with the row: a ``Row`` is immutable, so its text never changes."""
-    text = row._wire
-    if text is None:
-        text = row._wire = json.dumps([None if lp == NEG_INF else lp for lp in row.values()],
-                                      allow_nan=False)
-    return text
-
-
 def _error_reply(req_id, message: str) -> bytes:
     return json.dumps({"id": req_id, "error": message}, allow_nan=False).encode("utf-8") + b"\n"
 
 
-def _respond(counted: CountingScorer, line: bytes) -> bytes:
+def _respond(counted: CountingScorer, numbers: dict[int, tuple[int, Row]],
+             line: bytes) -> bytes:
     """The encoded response to one request line: its rows, or an error
-    naming what was wrong with the request."""
+    naming what was wrong with the request. ``numbers`` maps ``id(row)``
+    to the number and the row (held, so the id is not reused) of each row
+    numbered on the connection; a reply numbers its new rows once built."""
     req_id = None
     try:
         request = _read_request(line.decode(json.detect_encoding(line), "surrogatepass"))
         req_id = request.get("id")
         context = request.get("context", "")
+        vocabulary = counted.vocabulary
         if "extension_tokens" in request:
-            vocabulary = counted.vocabulary
             if request["extension_tokens"] != vocabulary.to_strings(vocabulary.extension_ids):
                 raise ValueError("extension tokens differ from the server's")
         if not isinstance(request["prefixes"], list):
             raise TypeError("prefixes must be a list of prefixes")
-        prefixes = [_prefix(counted.vocabulary.token_ids, p) for p in request["prefixes"]]
-        rows = ", ".join(map(_row_text, counted.next_logprobs_batch(context, prefixes)))
+        if len(request["prefixes"]) > MAX_REQUEST_PREFIXES:
+            raise ValueError(f"more than {MAX_REQUEST_PREFIXES} prefixes in one request")
+        prefixes = [_prefix(vocabulary.token_ids, p) for p in request["prefixes"]]
+        n_ext, new, texts = len(vocabulary.extension_ids), {}, []
+        for row in counted.next_logprobs_batch(context, prefixes):
+            known = numbers.get(id(row)) or new.get(id(row))
+            if known is not None:
+                texts.append(str(known[0]))
+                continue
+            texts.append(json.dumps([None if lp == NEG_INF else lp for lp in row.values()],
+                                    allow_nan=False))
+            if (len(numbers) + len(new) + 1) * n_ext <= MAX_NUMBERED_VALUES:  # as the client
+                new[id(row)] = (len(numbers) + len(new), row)
         # the bytes json.dumps({"id": req_id, "rows": ...}) writes
-        response = '{"id": ' + json.dumps(req_id, allow_nan=False) + ', "rows": [' + rows + ']}'
+        response = ('{"id": ' + json.dumps(req_id, allow_nan=False) + ', "rows": ['
+                    + ", ".join(texts) + ']}')
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         return _error_reply(req_id, f"{type(exc).__name__}: {exc}")
+    numbers.update(new)
     return response.encode("utf-8") + b"\n"
 
 
 class _ScorerRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         counted = CountingScorer(self.server.scorer)  # type: ignore[attr-defined]
+        numbers: dict[int, tuple[int, Row]] = {}
         while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
             if len(line) > MAX_REQUEST_BYTES:
                 self.wfile.write(_error_reply(
                     None, f"ValueError: request line longer than {MAX_REQUEST_BYTES} bytes"))
                 return  # the connection closes
             if line.strip():
-                self.wfile.write(_respond(counted, line))
+                self.wfile.write(_respond(counted, numbers, line))
                 self.wfile.flush()
 
 

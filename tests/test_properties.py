@@ -5,7 +5,6 @@ cases."""
 import json
 import math
 from operator import itemgetter
-from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +29,7 @@ from seqdec.decode import (  # noqa: E402
     lbs_decode,
 )
 from seqdec.oracle import enumerate_all  # noqa: E402
-from seqdec.remote import RemoteScorer, _read_response, _respond  # noqa: E402
+from seqdec.remote import _respond, _row  # noqa: E402
 from seqdec.scorers import CountingScorer, NgramModel, TableModel  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -305,9 +304,10 @@ class _KeptRow:
 def test_rows_cross_the_wire_bit_for_bit(row):
     vocab = row.vocabulary
     counted = CountingScorer(_KeptRow(row))
-    client = SimpleNamespace(vocabulary=vocab)  # all RemoteScorer._row reads
-    line = json.dumps({"id": 1, "context": "", "prefixes": [["<s>"]]}).encode()
-    for _ in range(2):  # the second reply reads the row's kept text
-        values, = _read_response(_respond(counted, line).decode())["rows"]
-        back = RemoteScorer._row(client, values)
-        assert [v.hex() for v in back] == [v.hex() for v in row]
+    line = json.dumps({"id": 1, "context": "", "prefixes": [["<s>"], ["<s>"]]}).encode()
+    numbers = {}
+    # the first reply sends the row's values, then its number; later ones the number
+    values, number = json.loads(_respond(counted, numbers, line))["rows"]
+    back = _row(vocab, values)
+    assert [v.hex() for v in back] == [v.hex() for v in row]
+    assert number == 0 and json.loads(_respond(counted, numbers, line))["rows"] == [0, 0]

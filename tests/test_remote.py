@@ -8,9 +8,11 @@ import time
 
 import pytest
 
+from seqdec import remote
 from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, ScorerTransportError, Vocabulary
 from seqdec.decode import beam_decode, decode
-from seqdec.remote import MAX_REQUEST_BYTES, RemoteScorer, ScorerServer, _respond
+from seqdec.remote import (MAX_REQUEST_BYTES, MAX_REQUEST_PREFIXES, RemoteScorer, ScorerServer,
+                           _respond)
 from seqdec.scorers import CountingScorer, TableModel
 
 from conftest import BatchRecorder, make_tiny3, random_table_model
@@ -95,7 +97,8 @@ def _one_shot_server(reply_fn):
 
 
 def _rows(model, request):
-    """The v2 rows a correct server sends for ``request``."""
+    """The rows of ``request`` as lists, as a server sends rows new to
+    the connection."""
     tokens = model.vocabulary.tokens
     rows = []
     for prefix in request["prefixes"]:
@@ -423,7 +426,7 @@ class TestStrictJson:
 
 
 class TestBatchedWire:
-    """Protocol v2: one request per batch of prefixes."""
+    """One request per batch of prefixes."""
 
     def test_one_round_trip_per_beam_step_with_an_incomplete_parent(self, serve, inp):
         # tiny3, raw beam k=2 over 5 steps: the beams before the steps are
@@ -610,17 +613,17 @@ class TestReplyLimit:
             client.close()
 
 
-def _reference_reply(req_id, rows) -> bytes:
-    """The reply as the server wrote it before row texts were kept: the
-    whole object dumped at once."""
-    return json.dumps({"id": req_id, "rows": [[None if lp == NEG_INF else lp
-                                               for lp in row.values()] for row in rows]},
-                      allow_nan=False).encode() + b"\n"
+def _reference_reply(req_id, items) -> bytes:
+    """The reply as the whole object dumped at once; each item is a row
+    or a row number."""
+    return json.dumps({"id": req_id, "rows": [
+        item if isinstance(item, int) else [None if lp == NEG_INF else lp for lp in item.values()]
+        for item in items]}, allow_nan=False).encode() + b"\n"
 
 
 class TestReplyBytes:
-    """A reply joins each row's kept text; its bytes equal the whole reply
-    dumped at once."""
+    """A reply joins each row's text or number; its bytes equal the whole
+    reply dumped at once."""
 
     VOCAB = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
     # the "a" row holds null and 0.0
@@ -641,21 +644,192 @@ class TestReplyBytes:
     @pytest.mark.parametrize("scorer", ["kept", "mappings"])
     def test_reply_equals_the_whole_reply_dumped(self, scorer, req_id, prefixes):
         counted = CountingScorer(self.TABLE if scorer == "kept" else self.Mappings(self.TABLE))
+        numbers = {}  # one connection's numbered rows
         line = json.dumps({"id": req_id, "context": "", "prefixes": prefixes}).encode() + b"\n"
         rows = [self.TABLE.next_logprobs("", tuple(map(self.VOCAB.token_ids.__getitem__, p)))
                 for p in prefixes]
-        for _ in range(2):  # the second reply reads the kept texts
-            assert _respond(counted, line) == _reference_reply(req_id, rows)
+        numbered = []  # the rows the connection has numbered, each as its object
+        for _ in range(2):  # the second reply numbers the kept rows
+            objects = rows if scorer == "kept" else [object() for _ in rows]
+            items = []
+            for obj, row in zip(objects, rows):
+                known = [n for n, seen in enumerate(numbered) if seen is obj]
+                items.append(known[0] if known else row)
+                numbered += [] if known else [obj]
+            assert _respond(counted, numbers, line) == _reference_reply(req_id, items)
+
+
+def _conversation(address, requests):
+    """The replies to ``requests``, sent one at a time over one connection."""
+    with socket.create_connection(address, timeout=10.0) as sock, sock.makefile("rwb") as f:
+        replies = []
+        for request in requests:
+            f.write(json.dumps(request).encode() + b"\n")
+            f.flush()
+            replies.append(json.loads(f.readline()))
+        return replies
+
+
+class TestNumberedRows:
+    """Protocol v3: a row goes as its values the first time a connection
+    sees it, and as its number after that."""
+
+    VOCAB, TABLE = TestReplyBytes.VOCAB, TestReplyBytes.TABLE
+    DEFAULT = [math.log(0.75), None, math.log(0.25)]  # the row of <s> and of <s> b
+    A_ROW = [None, None, 0.0]
+
+    @staticmethod
+    def requests(*batches):
+        return [{"id": i, "context": "", "prefixes": batch} for i, batch in enumerate(batches)]
+
+    def test_a_repeated_row_is_sent_as_its_number(self, serve):
+        replies = _conversation(serve(self.TABLE).address, self.requests(
+            [["<s>"], ["<s>", "a"], ["<s>", "b"]], [["<s>", "a"], ["<s>"]]))
+        assert [reply["rows"] for reply in replies] == [[self.DEFAULT, self.A_ROW, 0], [1, 0]]
+
+    def test_a_new_connection_numbers_from_0(self, serve):
+        server = serve(self.TABLE)
+        _conversation(server.address, self.requests([["<s>"]]))
+        replies = _conversation(server.address, self.requests([["<s>", "a"]], [["<s>"], ["<s>", "a"]]))
+        assert [reply["rows"] for reply in replies] == [[self.A_ROW], [self.DEFAULT, 0]]
+
+    def test_past_the_bound_rows_go_as_lists(self, serve, monkeypatch, inp):
+        monkeypatch.setattr(remote, "MAX_NUMBERED_VALUES", 3)  # one row of 3 values
+        replies = _conversation(serve(self.TABLE).address, self.requests(
+            [["<s>"], ["<s>", "a"], ["<s>", "a"], ["<s>"]]))
+        assert replies[0]["rows"] == [self.DEFAULT, self.A_ROW, self.A_ROW, 0]
+        # the client counts the bound as the server does
+        model = random_table_model(5, 5, 4, allow_zero=True)
+        n_ext = len(model.vocabulary.extension_ids)
+        server = serve(model)
+        config = DecodeConfig(beam_width=3, lookahead_depth=2, max_len=5, strategy="lbs")
+        numbered = []
+        for bound in (0, 3 * n_ext - 1, 2**20):
+            monkeypatch.setattr(remote, "MAX_NUMBERED_VALUES", bound)
+            client = RemoteScorer(model.vocabulary, *server.address)
+            try:
+                assert decode(client, inp, config) == decode(model, inp, config)
+                numbered.append(len(client._numbered))
+            finally:
+                client.close()
+        assert numbered[:2] == [0, 2] and numbered[2] > 2
+
+    def test_an_error_reply_numbers_nothing(self):
+        table = self.TABLE
+
+        class BadB:  # refuses the row of <s> b, after the row of <s>
+            vocabulary = self.VOCAB
+
+            def next_logprobs(self, context, prefix):
+                bad = {1: 0.5, 2: NEG_INF, 3: NEG_INF}
+                return bad if prefix[-1] == 2 else table.next_logprobs(context, prefix)
+
+        counted, numbers = CountingScorer(BadB()), {}
+        bad, good = (json.dumps(r).encode() for r in self.requests(
+            [["<s>"], ["<s>", "b"]], [["<s>"], ["<s>"]]))
+        assert json.loads(_respond(counted, numbers, bad))["error"].startswith("ValueError")
+        assert numbers == {}
+        assert json.loads(_respond(counted, numbers, good))["rows"] == [self.DEFAULT, 0]
+
+    def test_a_number_reads_back_the_same_row(self):
+        model = make_tiny3()
+        replies = iter([None, 0, 0])
+
+        def reply(req):
+            number = next(replies)
+            return {"id": req["id"], "rows": _rows(model, req) if number is None else [number]}
+
+        client = RemoteScorer(model.vocabulary, *_one_shot_server(reply))
+        try:
+            first = client.next_logprobs("", (0,))
+            assert first == model.next_logprobs("", (0,))
+            assert client.next_logprobs("", (0, 1)) is first is client.next_logprobs("", (0,))
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("item,message", [
+        (1, "unknown row number 1"),
+        (-1, "unknown row number -1"),
+        (True, "must be a list of 3 values"),
+        (0.0, "must be a list of 3 values"),
+        ([10**400, None, None], "log-probability 10{400} is out of range"),
+        ([-10**400, None, 0], "log-probability -10{400} is out of range"),
+    ], ids=["unknown", "negative", "boolean", "float", "huge", "huge-negative"])
+    def test_a_refused_reply_closes_the_connection(self, item, message):
+        model = make_tiny3()
+        replies = []
+
+        def reply(req):
+            replies.append(req["id"])
+            return {"id": req["id"], "rows": _rows(model, req) if len(replies) == 1 else [item]}
+
+        client = RemoteScorer(model.vocabulary, *_one_shot_server(reply))
+        try:
+            client.next_logprobs("", (0,))  # numbers row 0
+            with pytest.raises(ScorerTransportError, match=message):
+                client.next_logprobs("", (0,))
+            with pytest.raises(ScorerTransportError, match="the connection is closed"):
+                client.next_logprobs("", (0,))
+        finally:
+            client.close()
+        assert replies == [0, 1]
+
+
+class TestPrefixLimit:
+    """A request holds at most MAX_REQUEST_PREFIXES prefixes."""
+
+    def test_a_request_over_the_limit_gets_an_error_and_the_connection_stays_open(
+            self, served_tiny3):
+        model, address = served_tiny3
+        over = {"id": 1, "context": "", "prefixes": [["<s>"]] * (MAX_REQUEST_PREFIXES + 1)}
+        good = {"id": 2, "context": "", "prefixes": [["<s>"]] * MAX_REQUEST_PREFIXES}
+        error, served = _conversation(address, [over, good])
+        assert error == {"id": 1, "error": f"ValueError: more than {MAX_REQUEST_PREFIXES} "
+                                           f"prefixes in one request"}
+        assert served == {"id": 2, "rows": _rows(model, {**good, "prefixes": [["<s>"]]})
+                          + [0] * (MAX_REQUEST_PREFIXES - 1)}
+
+    def test_a_larger_batch_is_split_in_order(self, served_tiny3):
+        model, address = served_tiny3
+        kinds = [(0,), (0, 1), (0, 2), (0, 1, 1), (0, 2, 2)]
+        prefixes = [kinds[i * 7 % 5] for i in range(MAX_REQUEST_PREFIXES + 1)]
+        client = RemoteScorer(model.vocabulary, *address)
+        try:
+            rows = client.next_logprobs_batch("", prefixes)
+            assert client.round_trips == 2
+        finally:
+            client.close()
+        assert rows == [model.next_logprobs("", p) for p in prefixes]
+
+
+def _race(target, n_threads=6):
+    """Runs ``target`` in ``n_threads`` threads at once, switching threads
+    as often as the interpreter allows; returns the threads still alive."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    return [thread for thread in threads if thread.is_alive()]
+
+
+def _all_prefixes(vocab, max_len=3):
+    return [(vocab.bos_id, *tail) for n in range(max_len + 1)
+            for tail in itertools.product(vocab.core_ids, repeat=n)]
 
 
 def test_clients_racing_for_new_rows_read_exact_rows(serve):
-    # handler threads keep a row's text without a lock: threads that race
-    # write the same text, so every reply stays exact
+    # each connection's handler thread numbers rows without a lock; the
+    # rows themselves are shared between the connections
     model = random_table_model(3, 5, 4, allow_zero=True)
     server = serve(model)
     vocab = model.vocabulary
-    prefixes = [(vocab.bos_id, *tail) for n in range(4)
-                for tail in itertools.product(vocab.core_ids, repeat=n)]
+    prefixes = _all_prefixes(vocab)
     wrong, done = [], []
 
     def client_run():
@@ -668,15 +842,30 @@ def test_clients_racing_for_new_rows_read_exact_rows(serve):
         finally:
             client.close()
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=client_run) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    assert _race(client_run) == []
     assert len(done) == 6 and wrong == [] and len(prefixes) == 85
+
+
+def test_threads_sharing_one_client_read_exact_rows(serve):
+    # the client reads numbers and numbers new rows under its lock
+    model = random_table_model(4, 5, 4, allow_zero=True)
+    vocab = model.vocabulary
+    prefixes = _all_prefixes(vocab)
+    client = RemoteScorer(vocab, *serve(model).address)
+    wrong, done = [], []
+    sizes = iter(range(1, 7))
+
+    def client_run():
+        size = next(sizes)  # each thread its own batch size
+        for i in range(0, len(prefixes), size):
+            batch = prefixes[i:i + size]
+            if client.next_logprobs_batch("", batch) != [model.next_logprobs("", p) for p in batch]:
+                wrong.append(batch)
+        done.append(True)
+
+    try:
+        assert _race(client_run) == []
+    finally:
+        client.close()
+    assert len(done) == 6 and wrong == []
+    assert client.round_trips == sum(-(-85 // size) for size in range(1, 7))
