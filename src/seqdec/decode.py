@@ -21,10 +21,10 @@ Two execution modes are supported:
 from __future__ import annotations
 
 from bisect import insort
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
-from operator import attrgetter, is_
-from typing import Callable, Iterator, Optional, Sequence
+from operator import is_, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from seqdec.core import (
     NEG_INF,
@@ -33,17 +33,10 @@ from seqdec.core import (
     DecodeResult,
     Hypothesis,
     Row,
-    canonical_best,
-    canonical_sorted,
     check_budget,
     extend,
 )
 from seqdec.scorers import CountingScorer, Scorer
-
-
-def _result(best: Hypothesis, finished: Sequence[Hypothesis],
-            beam: Sequence[Hypothesis], calls: int) -> DecodeResult:
-    return DecodeResult(best, tuple(canonical_sorted(finished)), tuple(beam), calls)
 
 
 def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
@@ -57,12 +50,20 @@ def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Dec
         h = extend(h, best_tid, row[best_tid], vocab.eos_id)
         if h.complete:
             break
-    finished = [h] if h.complete else []
-    return _result(h, finished, (h,), counted.calls)
+    return DecodeResult(h, (h,) if h.complete else (), (h,), counted.calls)
+
+
+# A node is (-score, tokens, step_logprobs), a hypothesis as the search
+# carries it; tuple order is the canonical order, as tokens differ
+# within a step. A ranked entry is a complete node carried forward as
+# itself, or (-score, tokens, parent node, logprob), the parent's child
+# by tokens[-1].
+_Node = tuple[float, tuple[int, ...], tuple[float, ...]]
+_Entry = tuple
 
 
 def _search(counted: CountingScorer, context: str, config: DecodeConfig,
-            pick: Callable[[list[Hypothesis], list[_Entry], int], list[_Entry]]) -> DecodeResult:
+            pick: Callable[[list[_Node], Iterator[_Entry], int], Iterable[_Entry]]) -> DecodeResult:
     """The search loop beam, LBS and LHBS share, in both modes.
 
     Each step ranks the whole beam's candidates in one ``_ranked`` call
@@ -71,15 +72,18 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
     own order: the next beam in raw mode (n = k), which runs ``max_len``
     fixed steps or stops at a beam that steps to itself, charging the
     steps left; the popped candidates in practical mode (n = 2k), which
-    routes the complete ones to the finished pool.
+    routes the complete ones to the finished pool. Only the result's
+    nodes become ``Hypothesis`` objects. A node keeps no link to its
+    parent, so memory holds the beam, not the tree of its ancestors.
     """
     k = config.beam_width
     eos = counted.vocabulary.eos_id
 
-    def step(beam: list[Hypothesis], n: int) -> list[Hypothesis]:
-        return [_hypothesis(e, eos) for e in pick(beam, _ranked(counted, context, beam), n)]
+    def step(beam: list[_Node], n: int) -> list[_Node]:
+        return [e if len(e) == 3 else (e[0], e[1], e[2][2] + (e[3],))
+                for e in pick(beam, _ranked(counted, context, beam), n)]
 
-    beam = [Hypothesis.initial(counted.vocabulary)]
+    beam = [(-0.0, (counted.vocabulary.bos_id,), ())]
     if config.mode == "raw":
         for steps_left in range(config.max_len - 1, -1, -1):
             prev, beam = beam, step(beam, k)
@@ -87,84 +91,79 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
             if len(beam) == len(prev) and all(map(is_, beam, prev)):
                 counted.calls += len(beam) * steps_left
                 break
-        finished = [h for h in beam if h.complete]
-        return _result(canonical_best(finished or beam), finished, beam, counted.calls)
-    finished: list[Hypothesis] = []
-    for _ in range(config.max_len):
-        popped = step(beam, 2 * k)
-        beam = [h for h in popped if not h.complete][:k]
-        finished = canonical_sorted(finished + [h for h in popped if h.complete])[:k]
-        if not beam:
-            break
-        if finished and max(h.cum_logprob for h in beam) <= finished[0].cum_logprob:
-            break
-    best = finished[0] if finished else canonical_best(beam)
-    return _result(best, finished, beam, counted.calls)
+        finished = sorted(h for h in beam if h[1][-1] == eos)
+    else:
+        finished = []
+        for _ in range(config.max_len):
+            popped = step(beam, 2 * k)
+            beam = [h for h in popped if h[1][-1] != eos][:k]
+            finished = sorted(finished + [h for h in popped if h[1][-1] == eos])[:k]
+            if not beam:
+                break
+            if finished and min(h[0] for h in beam) >= finished[0][0]:
+                break
 
+    def hypothesis(node: _Node) -> Hypothesis:
+        return Hypothesis(node[1], -node[0], node[2], node[1][-1] == eos)
 
-# A ranked candidate is (-score, tokens, parent, logprob): the child of
-# ``parent`` by ``tokens[-1]``, or, with logprob None, a complete parent
-# carried forward as its own sole child. The first two fields give the
-# canonical order without a Hypothesis being built.
-_Entry = tuple[float, tuple[int, ...], Hypothesis, Optional[float]]
-_tokens = attrgetter("tokens")
+    return DecodeResult(hypothesis(min(finished or beam)), tuple(map(hypothesis, finished)),
+                        tuple(map(hypothesis, beam)), counted.calls)
 
 
 def _ranked(counted: CountingScorer, context: str,
-            beam: Sequence[Hypothesis]) -> Iterator[_Entry]:
-    """Every candidate of one beam step, in canonical order, built as
-    it is read.
+            beam: Sequence[_Node]) -> Iterator[_Entry]:
+    """Every candidate of one beam step, in canonical order, read lazily
+    off the parents' kept row rankings.
 
-    Scores are listed parent by parent in token order, each parent's
-    children by token id, and their positions are sorted on the score
-    alone. The sort is stable, so equal scores keep generation order,
-    and generation order is canonical (token) order: no beam member's
-    tokens are a proper prefix of another's, because a complete raw slot
-    ends in EOS and every other slot has the same length, so two parents
-    first differ at a position that both of their candidates keep. An
-    entry, with its token tuple, is built only when it is read, so a
-    strategy that takes a few pays for those few.
+    One heap holds each incomplete parent's next child, keyed by
+    (-score, parent tokens, token id), and each complete beam slot (raw
+    mode only) as itself. A pop costs O(log k) and puts the parent's
+    next child, from ``_children``, in its place, so a strategy that
+    reads r entries pays for those r, not for k x |V|. The key is the
+    canonical order: each parent's children come by score descending,
+    then id, and no beam member's tokens are a proper prefix of
+    another's, because a complete raw slot ends in EOS and every other
+    slot has the same length, so two parents first differ at a position
+    that both of their candidates keep.
 
     The incomplete parents' rows come from one batch call, made before
     this returns, so a remote scorer answers the step in one round trip.
-    A complete beam slot (raw mode only) costs one logical call, but the
-    model is not asked: its row would be discarded. Rows are read as
-    they are, unchecked: every ``Row`` was validated where it was made.
+    A complete beam slot costs one logical call, but the model is not
+    asked: its row would be discarded. Rows are read as they are,
+    unchecked: every ``Row`` was validated where it was made.
     """
-    ext, values = counted.vocabulary.extension_ids, counted.vocabulary.extension_values
-    beam = sorted(beam, key=_tokens)
-    prefixes = [h.tokens for h in beam if not h.complete]
+    eos = counted.vocabulary.eos_id
+    beam = sorted(beam, key=itemgetter(1))
+    prefixes = [h[1] for h in beam if h[1][-1] != eos]
     rows = iter(counted.next_logprobs_batch(context, prefixes) if prefixes else ())
-    # one position per candidate, in generation order
-    negs: list[float] = []
-    parents: list[Hypothesis] = []
-    tids: list[Optional[int]] = []
-    lps: list[Optional[float]] = []
+    heap = []
     for h in beam:
-        if h.complete:
+        neg, tokens, _ = h
+        if tokens[-1] == eos:
             counted.charge()
-            negs.append(-h.cum_logprob)
-            parents.append(h)
-            tids.append(None)
-            lps.append(None)
+            heap.append((neg, tokens, eos, None, h, None))
             continue
-        cum, row_lps = h.cum_logprob, values(next(rows))
-        negs += [-(cum + lp) for lp in row_lps]
-        parents += [h] * len(ext)
-        tids += ext
-        lps += row_lps
+        row = next(rows)
+        children = _children(-neg, row)
+        score, tid = next(children)  # EOS is always an extension
+        heap.append((-score, tokens, tid, children, h, row))
+    heapify(heap)
 
     def entries() -> Iterator[_Entry]:
-        for i in sorted(range(len(negs)), key=negs.__getitem__):
-            h, lp = parents[i], lps[i]
-            yield negs[i], h.tokens if lp is None else h.tokens + (tids[i],), h, lp
+        while heap:
+            neg, tokens, tid, children, h, row = heap[0]
+            if children is None:
+                heappop(heap)
+                yield h
+                continue
+            yield neg, tokens + (tid,), h, row[tid]
+            child = next(children, None)
+            if child is None:
+                heappop(heap)
+            else:
+                heapreplace(heap, (-child[0], tokens, child[1], children, h, row))
 
     return entries()
-
-
-def _hypothesis(entry: _Entry, eos_id: int) -> Hypothesis:
-    _, tokens, parent, lp = entry
-    return parent if lp is None else extend(parent, tokens[-1], lp, eos_id)
 
 
 def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
@@ -300,7 +299,7 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
     counted = CountingScorer(scorer)
 
     def pick(beam, entries, n):
-        slot = {id(h): i for i, h in enumerate(canonical_sorted(beam))}  # hashing h reads its tuples
+        slot = {id(h): i for i, h in enumerate(sorted(beam))}  # hashing h reads its tuples
         waiting: list[list[_Entry]] = [[] for _ in beam]  # read before their slot
         pool: list[_Entry] = []  # a heap; (-score, tokens) is unique within a step
         popped: list[_Entry] = []
@@ -312,7 +311,7 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
                     popped.append(heappop(pool))
                     continue
                 for e in entries:
-                    j = slot[id(e[2])]
+                    j = slot[id(e if len(e) == 3 else e[2])]  # a carried node is its own parent
                     if j <= i:
                         popped.append(e)
                         break
@@ -360,7 +359,7 @@ def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) ->
             cums.append(cum)
             stack.append(children())
     assert best is not None  # [BOS, EOS] is always reachable
-    return _result(best, (best,), (best,), counted.calls)
+    return DecodeResult(best, (best,), (best,), counted.calls)
 
 
 _STRATEGIES = {

@@ -155,9 +155,9 @@ class RemoteScorer:
     def _rows(self, response: dict, req_id: int, n_prefixes: int) -> list[Row]:
         """The reply's rows: each number read from the numbered rows, and
         each list checked and numbered while the bound allows."""
-        if response.get("id") != req_id:
-            raise ScorerTransportError(
-                f"response id {response.get('id')} does not match request {req_id}")
+        resp_id = response.get("id")
+        if type(resp_id) is not int or resp_id != req_id:  # true and 1.0 equal 1
+            raise ScorerTransportError(f"response id {resp_id!r} does not match request {req_id}")
         rows = response.get("rows")
         if not isinstance(rows, list) or len(rows) != n_prefixes:
             raise ScorerTransportError(

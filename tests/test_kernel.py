@@ -1,10 +1,12 @@
 """The score-first search kernel: bit-exact agreement with the
-Hypothesis-based reference, logical calls against model calls, and
-rejection of positive log-probabilities."""
+Hypothesis-based reference, logical calls against model calls,
+rejection of positive log-probabilities, and the memory a step and a
+long decode trace."""
 
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -153,10 +155,48 @@ def test_scores_that_round_together_follow_token_order():
                 == reference_eval_lookahead(want, "", h, d).hex())
         assert got.inner.asked == want.inner.asked, d
         assert got.calls == want.calls
-    entries = list(_ranked(CountingScorer(model), "", [h]))
+    entries = list(_ranked(CountingScorer(model), "", [(-h.cum_logprob, h.tokens, ())]))
     full = sorted((-(h.cum_logprob + row[tid]), h.tokens + (tid,)) for tid in vocab.extension_ids)
     assert [(neg, tokens) for neg, tokens, _, _ in entries] == full
     assert [tokens[-1] for _, tokens, _, _ in entries] == [a, b, vocab.eos_id]
+
+
+def _traced_peak(decode):
+    """decode()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return decode(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_growing_raw_beam_holds_its_nodes_not_their_ancestors():
+    # a node that kept its parent would keep every ancestor's token tuple,
+    # about 4,000^2 / 2 ids (a 62 MB peak); the beam's own nodes trace 0.2 MB
+    vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+    model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
+    r, peak = _traced_peak(lambda: beam_decode(model, INP, raw("beam", 1, n_max=4000)))
+    assert r.best.tokens == (vocab.bos_id,) + (vocab.token_ids["a"],) * 4000
+    assert r.scorer_calls == 4000 and not r.finished
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("fn,strategy,d", [(beam_decode, "beam", 0), (lbs_decode, "lbs", 1),
+                                           (lhbs_decode, "lhbs", 0)])
+def test_a_step_pays_for_the_candidates_it_reads(fn, strategy, d):
+    # 10^5 tokens, the one ranked r (from 1) with probability falling as
+    # 1 / r^2, EOS the least likely: a step that listed and sorted all
+    # k x |V| candidates traced 44 MB; the few a strategy reads off the
+    # kept row ranking trace 5 kB
+    words = [f"w{i}" for i in range(10**5 - 2)]
+    vocab = Vocabulary.from_tokens(["<s>", *words, "</s>"])
+    weights = [1 / r**2 for r in range(1, 10**5)]
+    total = sum(weights)
+    model = TableModel(vocab, {}, {t: w / total for t, w in zip([*words, "</s>"], weights)})
+    model.next_logprobs("", (vocab.bos_id,)).ranked()  # every prefix shares the default row
+    r, peak = _traced_peak(lambda: fn(model, INP, raw(strategy, 4, d, n_max=3)))
+    assert r.best.tokens == (vocab.bos_id,) + (vocab.token_ids["w0"],) * 3
+    assert peak < 1_000_000
 
 
 class ModelCalls:

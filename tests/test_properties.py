@@ -21,7 +21,6 @@ from seqdec.core import (  # noqa: E402
     extend,
 )
 from seqdec.decode import (  # noqa: E402
-    _hypothesis,
     _ranked,
     beam_decode,
     eval_lookahead,
@@ -116,24 +115,32 @@ def test_kept_ngram_rows_equal_the_formula_bit_for_bit(case):
 
 
 def reference_ranked(counted: CountingScorer, context: str, beam) -> list:
-    """The ranking as it was: the beam in its given order, then one sort
-    on score and the full token tuple."""
-    ext = counted.vocabulary.extension_ids
+    """The ranking as it was: the beam of nodes in its given order, then
+    one sort on score and the full token tuple."""
+    ext, eos = counted.vocabulary.extension_ids, counted.vocabulary.eos_id
     entries = []
-    for h in beam:
-        if h.complete:
+    for node in beam:
+        neg, tokens, _ = node
+        if tokens[-1] == eos:
             counted.charge()
-            entries.append((-h.cum_logprob, h.tokens, h, None))
+            entries.append(node)
             continue
-        row = counted.next_logprobs(context, h.tokens)
-        entries += [(-(h.cum_logprob + row[tid]), h.tokens + (tid,), h, row[tid])
-                    for tid in ext]
+        row = counted.next_logprobs(context, tokens)
+        entries += [(-(-neg + row[tid]), tokens + (tid,), node, row[tid]) for tid in ext]
     entries.sort(key=itemgetter(0, 1))
     return entries
 
 
 def _plain(entries):
-    return [(neg.hex(), tokens, id(parent), lp) for neg, tokens, parent, lp in entries]
+    """(score bits, tokens, parent's id, logprob) per entry; a carried
+    node is its own parent, with no logprob."""
+    return [(e[0].hex(), e[1], id(e[2]), e[3]) if len(e) == 4 else (e[0].hex(), e[1], id(e), None)
+            for e in entries]
+
+
+def _node(entry):
+    """The node an entry becomes when the search keeps it."""
+    return entry if len(entry) == 3 else (entry[0], entry[1], entry[2][2] + (entry[3],))
 
 
 @st.composite
@@ -177,16 +184,16 @@ def test_table_rows_equal_the_formula_bit_for_bit(model, data):
        st.data())
 def test_ranked_equals_the_full_canonical_sort(model, k, mode, data):
     eos = model.vocabulary.eos_id
-    beam = [Hypothesis.initial(model.vocabulary)]
+    beam = [(-0.0, (model.vocabulary.bos_id,), ())]
     for _ in range(4):
         shuffled = data.draw(st.permutations(beam))
         counted, ref_counted = CountingScorer(model), CountingScorer(model)
         entries = list(_ranked(counted, "", shuffled))
         assert _plain(entries) == _plain(reference_ranked(ref_counted, "", beam))
         assert counted.calls == ref_counted.calls == len(beam)
-        beam = [_hypothesis(e, eos) for e in entries[:k]]
+        beam = [_node(e) for e in entries[:k]]
         if mode == "practical":
-            beam = [h for h in beam if not h.complete]
+            beam = [h for h in beam if h[1][-1] != eos]
         if not beam:
             break
 

@@ -149,6 +149,21 @@ class TestProtocolValidation:
             client.next_logprobs("", (0,))
         client.close()
 
+    @pytest.mark.parametrize("fake", [False, True, 1.0], ids=["false", "true", "float"])
+    def test_an_id_equal_to_but_not_the_integer_sent_rejected(self, fake):
+        # false == 0 and true == 1.0 == 1: each answers the request of that id
+        def reply(req):
+            return {"id": fake if req["id"] == fake else req["id"],
+                    "rows": _rows(self.model, req)}
+
+        host, port = _one_shot_server(reply)
+        client = RemoteScorer(self.model.vocabulary, host, port)
+        if fake:
+            client.next_logprobs("", (0,))  # request 0, answered with its own id
+        with pytest.raises(ScorerTransportError, match="does not match request"):
+            client.next_logprobs("", (0,))
+        client.close()
+
     def test_overflowing_value_rejected(self):
         host, port = _one_shot_server(lambda req: {"id": req["id"], "rows": [[1000.0, None, None]]})
         client = RemoteScorer(self.model.vocabulary, host, port)
