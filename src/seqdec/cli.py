@@ -1,8 +1,9 @@
 """Command-line interface: decode, compare, train, oracle.
 
-Exit codes: 0 success, 2 bad input/configuration, 3 scorer transport
-failure, 4 budget refusal. Output files are written via a temp file and
-renamed, so a failed run leaves no partial output behind.
+Exit codes: 0 success, 2 bad input/configuration (an unreadable or
+unwritable file too), 3 scorer transport failure, 4 budget refusal.
+Output files are written via a temp file and renamed, so a failed run
+leaves no partial output behind.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ EXIT_TRANSPORT = 3
 EXIT_BUDGET = 4
 
 
-class UsageError(Exception):
-    pass
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seqdec-")
@@ -58,32 +55,29 @@ def _atomic_write(path: str, text: str) -> None:
 def _read_corpus(path: str) -> list[DecodeInput]:
     inputs = []
     seen = set()
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise UsageError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise UsageError(f"{path}:{lineno}: record is not a JSON object")
-                if "id" not in obj:
-                    raise UsageError(f"{path}:{lineno}: record missing 'id'")
-                # exact types: a JSON boolean is not a number
-                if type(obj["id"]) not in (str, int, float):
-                    raise UsageError(f"{path}:{lineno}: 'id' must be a string or a number")
-                context = obj.get("context", "")
-                if not isinstance(context, str):
-                    raise UsageError(f"{path}:{lineno}: 'context' must be a string")
-                rid = str(obj["id"])  # the id as it is written
-                if rid in seen:
-                    raise UsageError(f"{path}:{lineno}: duplicate id {rid!r}")
-                seen.add(rid)
-                inputs.append(DecodeInput(id=rid, context=context))
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: record is not a JSON object")
+            if "id" not in obj:
+                raise ValueError(f"{path}:{lineno}: record missing 'id'")
+            # exact types: a JSON boolean is not a number
+            if type(obj["id"]) not in (str, int, float):
+                raise ValueError(f"{path}:{lineno}: 'id' must be a string or a number")
+            context = obj.get("context", "")
+            if not isinstance(context, str):
+                raise ValueError(f"{path}:{lineno}: 'context' must be a string")
+            rid = str(obj["id"])  # the id as it is written
+            if rid in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate id {rid!r}")
+            seen.add(rid)
+            inputs.append(DecodeInput(id=rid, context=context))
     return inputs
 
 
@@ -101,27 +95,27 @@ def _open_scorer(args):
 def _make_scorer(args):
     if args.scorer == "remote":
         if not args.endpoint:
-            raise UsageError("--endpoint required for remote scorer")
+            raise ValueError("--endpoint required for remote scorer")
         if not args.model:
-            raise UsageError("--model (vocabulary file) required for remote scorer")
+            raise ValueError("--model (vocabulary file) required for remote scorer")
         try:
             vocab = load_vocabulary(args.model)
         except (OSError, KeyError, ValueError) as exc:
-            raise UsageError(f"cannot load vocabulary from {args.model}: {exc}") from exc
+            raise ValueError(f"cannot load vocabulary from {args.model}: {exc}") from exc
         host, _, port = args.endpoint.rpartition(":")
         try:
             number = int(port)
         except ValueError:
             number = 0
         if not 1 <= number <= 65535:  # the resolver would wrap it modulo 65536
-            raise UsageError(f"--endpoint {args.endpoint}: the port must be 1 to 65535")
+            raise ValueError(f"--endpoint {args.endpoint}: the port must be 1 to 65535")
         return RemoteScorer(vocab, host, number)
     if not args.model:
-        raise UsageError("--model required")
+        raise ValueError("--model required")
     try:
         return load_model(args.scorer, args.model)
     except (OSError, KeyError, ValueError) as exc:
-        raise UsageError(f"cannot load model {args.model}: {exc}") from exc
+        raise ValueError(f"cannot load model {args.model}: {exc}") from exc
 
 
 def _json_float(x: float):
@@ -172,15 +166,13 @@ def _parse_runs(spec: str) -> list[tuple[str, int]]:
         else:
             runs.append((part, 0))
     if not runs:
-        raise UsageError("empty --runs specification")
+        raise ValueError("empty --runs specification")
     return runs
 
 
 def cmd_compare(args) -> int:
     with _open_scorer(args) as scorer:
         corpus = _read_corpus(args.input)
-        if not corpus:
-            raise UsageError("empty corpus")
         runs = _parse_runs(args.runs)
         ks = [int(k) for k in args.ks.split(",")]
         configs = []
@@ -189,22 +181,14 @@ def cmd_compare(args) -> int:
                 configs.append(DecodeConfig(beam_width=k, lookahead_depth=d,
                                             max_len=args.max_len, strategy=strategy,
                                             mode=args.mode, budget=args.budget))
-        try:
-            rows = compare_strategies(scorer, corpus, configs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        rows = compare_strategies(scorer, corpus, configs)
     _atomic_write(args.output, rows_to_csv(rows))
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as f:
-            model = train_ngram(f, args.order, args.alpha)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.input}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with open(args.input, encoding="utf-8") as f:
+        model = train_ngram(f, args.order, args.alpha)
     text = json.dumps(model.to_json(), sort_keys=True)
     _atomic_write(args.output, text + "\n")
     return EXIT_OK
@@ -236,46 +220,49 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="seqdec",
-                                     description="Sequence decoding toolkit")
+    parser = argparse.ArgumentParser(prog="seqdec", description="Sequence decoding toolkit",
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_strategy=True):
+    def add_common(p):
         p.add_argument("--scorer", choices=["table", "ngram", "remote"], default="table")
         p.add_argument("--model", help="model JSON path (vocabulary file for remote)")
         p.add_argument("--endpoint", help="host:port of a remote scorer")
         p.add_argument("--input", required=True, help="JSONL corpus path")
         p.add_argument("--output", required=True, help="output path")
         p.add_argument("--max-len", dest="max_len", type=int, default=32)
-        p.add_argument("--mode", choices=VALID_MODES, default="practical")
         # a string default goes through type=int, so a bad value exits 2
         p.add_argument("--budget", type=int,
                        default=os.environ.get("SEQDEC_BUDGET") or DEFAULT_BUDGET)
-        if needs_strategy:
-            p.add_argument("--strategy", required=True, choices=VALID_STRATEGIES)
-            p.add_argument("--k", type=int, default=1)
-            p.add_argument("--d", type=int, default=0)
 
-    p_decode = sub.add_parser("decode", help="decode a JSONL corpus")
+    p_decode = sub.add_parser("decode", help="decode a JSONL corpus", allow_abbrev=False)
     add_common(p_decode)
+    p_decode.add_argument("--mode", choices=VALID_MODES, default="practical")
+    p_decode.add_argument("--strategy", required=True, choices=VALID_STRATEGIES)
+    p_decode.add_argument("--k", type=int, default=1)
+    p_decode.add_argument("--d", type=int, default=0)
     p_decode.set_defaults(func=cmd_decode)
 
-    p_compare = sub.add_parser("compare", help="sweep strategies and emit a CSV report")
-    add_common(p_compare, needs_strategy=False)
+    p_compare = sub.add_parser("compare", help="sweep strategies and emit a CSV report",
+                               allow_abbrev=False)
+    add_common(p_compare)
+    p_compare.add_argument("--mode", choices=VALID_MODES, default="practical")
     p_compare.add_argument("--runs", required=True,
                            help="comma list of strategy[:d], e.g. beam,lbs:1,lhbs")
     p_compare.add_argument("--ks", required=True, help="comma list of beam widths")
     p_compare.set_defaults(func=cmd_compare)
 
-    p_train = sub.add_parser("train", help="train an n-gram model from text")
+    p_train = sub.add_parser("train", help="train an n-gram model from text",
+                             allow_abbrev=False)
     p_train.add_argument("--input", required=True, help="text corpus path")
     p_train.add_argument("--output", required=True, help="model JSON path")
     p_train.add_argument("--order", type=int, default=2)
     p_train.add_argument("--alpha", type=float, default=1.0)
     p_train.set_defaults(func=cmd_train)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force MAP / full enumeration")
-    add_common(p_oracle, needs_strategy=False)
+    p_oracle = sub.add_parser("oracle", help="brute-force MAP / full enumeration",
+                              allow_abbrev=False)
+    add_common(p_oracle)
     p_oracle.add_argument("--enumerate", action="store_true",
                           help="emit every complete sequence instead of the argmax")
     p_oracle.set_defaults(func=cmd_oracle)
@@ -291,7 +278,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ScorerTransportError as exc:

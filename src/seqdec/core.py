@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")
 
@@ -57,9 +56,6 @@ class Vocabulary:
     core_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     #: Token string -> token id.
     token_ids: dict[str, int] = field(init=False, repr=False, compare=False)
-    #: A row's values at the extension ids, as a tuple.
-    extension_values: Callable[[Sequence[float]], tuple[float, ...]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bos_id == self.eos_id:
@@ -78,16 +74,16 @@ class Vocabulary:
         ext = tuple(i for i in range(n) if i != self.bos_id)
         object.__setattr__(self, "extension_ids", ext)
         object.__setattr__(self, "core_ids", tuple(i for i in ext if i != self.eos_id))
-        # one slice when BOS is the first or the last id; between them, it
-        # leaves two extension ids or more, so itemgetter returns a tuple
-        values = (itemgetter(slice(1, None)) if self.bos_id == 0 else
-                  itemgetter(slice(None, -1)) if self.bos_id == n - 1 else itemgetter(*ext))
-        object.__setattr__(self, "extension_values", values)
 
     @classmethod
-    def from_tokens(cls, tokens: Sequence[str], bos: str = "<s>", eos: str = "</s>") -> "Vocabulary":
+    def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
+        """The vocabulary of ``tokens``, with ``<s>`` as BOS and ``</s>`` as EOS."""
         toks = tuple(tokens)
-        return cls(toks, toks.index(bos), toks.index(eos))
+        return cls(toks, toks.index("<s>"), toks.index("</s>"))
+
+    def extension_values(self, row: tuple[float, ...]) -> tuple[float, ...]:
+        """A row's values at the extension ids: every value but BOS's."""
+        return row[:self.bos_id] + row[self.bos_id + 1:]
 
     def to_strings(self, ids: Sequence[int]) -> list[str]:
         return [self.tokens[i] for i in ids]
@@ -179,14 +175,6 @@ def sum_left_to_right(values: Iterable[float]) -> float:
     for v in values:
         total += v
     return total
-
-
-def canonical_sorted(hyps: Sequence[Hypothesis]) -> list[Hypothesis]:
-    return sorted(hyps, key=Hypothesis.sort_key)
-
-
-def canonical_best(hyps: Sequence[Hypothesis]) -> Hypothesis:
-    return min(hyps, key=Hypothesis.sort_key)
 
 
 @dataclass(frozen=True)

@@ -98,9 +98,7 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
             popped = step(beam, 2 * k)
             beam = [h for h in popped if h[1][-1] != eos][:k]
             finished = sorted(finished + [h for h in popped if h[1][-1] == eos])[:k]
-            if not beam:
-                break
-            if finished and min(h[0] for h in beam) >= finished[0][0]:
+            if not beam or finished and min(h[0] for h in beam) >= finished[0][0]:
                 break
 
     def hypothesis(node: _Node) -> Hypothesis:

@@ -15,25 +15,36 @@ from seqdec.core import (
 )
 from seqdec.scorers import Scorer
 
+#: A sequence as (tokens, score).
+_Scored = tuple[tuple[int, ...], float]
+
+
+def _expand(scorer: Scorer, context: str, tokens: tuple[int, ...],
+            depth: int) -> tuple[list[_Scored], list[_Scored]]:
+    """Every continuation of ``tokens`` up to ``depth`` steps, level by
+    level, as (tokens, score increment): the ones ending in EOS, in the
+    order they are reached, and the incomplete ones ``depth`` steps on."""
+    vocab = scorer.vocabulary
+    complete = []
+    frontier = [(tokens, 0.0)]
+    for _ in range(depth):
+        next_frontier = []
+        for prefix, score in frontier:
+            row = scorer.next_logprobs(context, prefix)
+            complete.append((prefix + (vocab.eos_id,), score + row[vocab.eos_id]))
+            for tid in vocab.core_ids:
+                next_frontier.append((prefix + (tid,), score + row[tid]))
+        frontier = next_frontier
+    return complete, frontier
+
 
 def enumerate_all(scorer: Scorer, inp: DecodeInput, n_max: int,
-                  budget: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], float], ...]:
+                  budget: int = DEFAULT_BUDGET) -> tuple[_Scored, ...]:
     """(tokens, score) of every complete sequence of at most n_max
     generated tokens, scored by direct left-to-right factorization."""
     vocab = scorer.vocabulary
     check_budget(len(vocab.extension_ids), n_max, budget)
-    complete: list[tuple[tuple[int, ...], float]] = []
-    # frontier holds incomplete prefixes as (tokens, cum_logprob)
-    frontier: list[tuple[tuple[int, ...], float]] = [((vocab.bos_id,), 0.0)]
-    for _ in range(n_max):
-        next_frontier = []
-        for tokens, score in frontier:
-            row = scorer.next_logprobs(inp.context, tokens)
-            complete.append((tokens + (vocab.eos_id,), score + row[vocab.eos_id]))
-            for tid in vocab.core_ids:
-                next_frontier.append((tokens + (tid,), score + row[tid]))
-        frontier = next_frontier
-    return tuple(complete)
+    return tuple(_expand(scorer, inp.context, (vocab.bos_id,), n_max)[0])
 
 
 def brute_force_map(scorer: Scorer, inp: DecodeInput, n_max: int,
@@ -60,21 +71,6 @@ def breadth_first_lookahead(scorer: Scorer, inp: DecodeInput, h: Hypothesis,
         raise ValueError("depth must be >= 0")
     if d == 0 or h.complete:
         return 0.0
-    vocab = scorer.vocabulary
-    check_budget(len(vocab.extension_ids), d, budget)
-    best = None
-    frontier: list[tuple[tuple[int, ...], float]] = [(h.tokens, 0.0)]
-    for _ in range(d):
-        next_frontier = []
-        for tokens, inc in frontier:
-            row = scorer.next_logprobs(inp.context, tokens)
-            eos_inc = inc + row[vocab.eos_id]
-            if best is None or eos_inc > best:
-                best = eos_inc
-            for tid in vocab.core_ids:
-                next_frontier.append((tokens + (tid,), inc + row[tid]))
-        frontier = next_frontier
-    for _, inc in frontier:
-        if best is None or inc > best:
-            best = inc
-    return best
+    check_budget(len(scorer.vocabulary.extension_ids), d, budget)
+    complete, frontier = _expand(scorer, inp.context, h.tokens, d)
+    return max(inc for _, inc in complete + frontier)

@@ -86,14 +86,17 @@ class TableModel:
                 raise ValueError(f"row {key!r} sums to {total}, not 1")
             _check_extension_tokens(vocabulary, f"row {key!r}", row)
         ids = vocabulary.token_ids
+        keys: dict[tuple[int, ...], str] = {}  # prefix -> its row key
         for key in rows:
             for t in key.split():
                 if t not in ids:
                     raise ValueError(f"row key {key!r} names {t!r}, not a vocabulary token")
+            first = keys.setdefault(tuple(ids[t] for t in key.split()), key)
+            if first != key:  # one row would be lost
+                raise ValueError(f"row keys {first!r} and {key!r} name the same prefix")
         self.rows = rows
         self.default_row = default_row
-        self._log_rows = {tuple(ids[t] for t in k.split()): _log_row(vocabulary, r)
-                          for k, r in rows.items()}
+        self._log_rows = {prefix: _log_row(vocabulary, rows[key]) for prefix, key in keys.items()}
         self._log_default = _log_row(vocabulary, default_row)
 
     def next_logprobs(self, context: str, prefix: Sequence[int]) -> Row:
@@ -158,13 +161,20 @@ class NgramModel:
                              "sum + alpha * |extension set| must be a finite float, and "
                              "alpha over it must not round to 0")
         ids = vocabulary.token_ids
+        histories: dict[tuple[int | str, ...], str] = {}  # key -> its history
         for history, ctx_counts in counts.items():
             _check_extension_tokens(vocabulary, f"history {history!r}", ctx_counts)
+            words = history.split()
+            if len(words) != order - 1:  # no lookup could reach it
+                raise ValueError(f"history {history!r} must hold order - 1 = {order - 1} words")
+            first = histories.setdefault(tuple(ids.get(w, w) for w in words), history)
+            if first != history:  # one count table would be lost
+                raise ValueError(f"histories {first!r} and {history!r} name the same tokens")
         self.vocabulary = vocabulary
         self.order = order
         self.alpha = alpha
         self.counts = counts
-        self._counts = {tuple(ids.get(w, w) for w in h.split()): c for h, c in counts.items()}
+        self._counts = {key: counts[h] for key, h in histories.items()}
         self._rows: dict[tuple[int | str, ...], Row] = {}
         self._unseen = self._log_row({})
 

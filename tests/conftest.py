@@ -12,8 +12,6 @@ from seqdec.core import (
     DecodeResult,
     Hypothesis,
     Vocabulary,
-    canonical_best,
-    canonical_sorted,
     extend,
 )
 from seqdec.decode import lhbs_decode
@@ -178,7 +176,7 @@ def lhbs_reference_decode(scorer, context: str, k: int, n_max: int, mode: str):
     steps = []
 
     def step(beam):
-        prev = canonical_sorted(beam)
+        prev = sorted(beam, key=Hypothesis.sort_key)
         leftover, popped, slots = [], [], []
         for i in range(k):
             pool = list(leftover)
@@ -193,7 +191,7 @@ def lhbs_reference_decode(scorer, context: str, k: int, n_max: int, mode: str):
                              for tid in vocab.extension_ids]
             if not pool:
                 break
-            pool = canonical_sorted(pool)
+            pool = sorted(pool, key=Hypothesis.sort_key)
             taken, leftover = pool[:pops], pool[pops:]
             popped += taken
             slots.append({"slot": i, "pool": pool, "popped": taken})
@@ -205,19 +203,21 @@ def lhbs_reference_decode(scorer, context: str, k: int, n_max: int, mode: str):
         for _ in range(n_max):
             beam = step(beam)
         finished = [h for h in beam if h.complete]
-        best = canonical_best(finished or beam)
+        best = min(finished or beam, key=Hypothesis.sort_key)
     else:
         finished = []
         for _ in range(n_max):
-            popped = canonical_sorted(step(beam))
+            popped = sorted(step(beam), key=Hypothesis.sort_key)
             beam = [h for h in popped if not h.complete][:k]
-            finished = canonical_sorted(finished + [h for h in popped if h.complete])[:k]
+            finished = sorted(finished + [h for h in popped if h.complete],
+                              key=Hypothesis.sort_key)[:k]
             if not beam:
                 break
             if finished and max(h.cum_logprob for h in beam) <= finished[0].cum_logprob:
                 break
-        best = finished[0] if finished else canonical_best(beam)
-    result = DecodeResult(best, tuple(canonical_sorted(finished)), tuple(beam), counted.calls)
+        best = finished[0] if finished else min(beam, key=Hypothesis.sort_key)
+    result = DecodeResult(best, tuple(sorted(finished, key=Hypothesis.sort_key)), tuple(beam),
+                          counted.calls)
     return result, steps
 
 

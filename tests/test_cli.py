@@ -89,6 +89,18 @@ class TestDecodeCommand:
         assert rc == 0
         assert out.read_bytes() == b""  # not one blank JSONL line
 
+    @pytest.mark.parametrize("given,message", [
+        (["--model", "vocab.json"], "--endpoint required for remote scorer"),
+        (["--endpoint", "127.0.0.1:1"], "--model (vocabulary file) required for remote scorer"),
+    ], ids=["no-endpoint", "no-model"])
+    def test_remote_scorer_without_endpoint_or_model_exits_2(self, tiny3_files, capsys,
+                                                             given, message):
+        tmp, _, corpus = tiny3_files
+        rc = main(["decode", "--strategy", "beam", "--scorer", "remote", *given,
+                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_remote_transport_failure(self, tiny3_files):
         tmp, model, corpus = tiny3_files
         rc = main(["decode", "--strategy", "beam", "--scorer", "remote",
@@ -233,6 +245,33 @@ def test_model_with_whitespace_in_a_token_exits_2(tmp_path, capsys, scorer, obj)
 
 
 @pytest.mark.parametrize("scorer,obj,message", [
+    ("table", {"vocab": ["<s>", "a", "b", "</s>"], "rows": {"a b": {"a": 1.0}, "a  b": {"b": 1.0}},
+               "default": {"</s>": 1.0}}, "row keys 'a b' and 'a  b' name the same prefix"),
+    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+               "counts": {"a": {"a": 1}, " a": {"</s>": 1}}},
+     "histories 'a' and ' a' name the same tokens"),
+    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+               "counts": {"<s> a": {"a": 1}}}, "history '<s> a' must hold order - 1 = 1 words"),
+    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 1, "alpha": 0.5,
+               "counts": {"a": {"a": 1}}}, "history 'a' must hold order - 1 = 0 words"),
+], ids=["table-keys", "ngram-histories", "ngram-long-history", "unigram-history"])
+def test_model_key_that_collides_or_cannot_be_reached_exits_2(tmp_path, capsys, scorer, obj,
+                                                               message):
+    # one of two colliding keys was silently dropped, and a history of the
+    # wrong length could never be looked up
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "s1", "context": ""}\n')
+    out = tmp_path / "out.jsonl"
+    rc = main(["decode", "--strategy", "beam", "--scorer", scorer, "--model", str(model),
+               "--input", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert f"cannot load model {model}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scorer,obj,message", [
     ("ngram", [1], "cannot load model .*: the file does not hold a JSON object"),
     ("remote", [1], "cannot load vocabulary from .*: the file does not hold a JSON object"),
     ("table", {"vocab": ["<s>", "a", "</s>"], "rows": [], "default": {"a": 1.0}},
@@ -285,8 +324,10 @@ def test_model_holding_a_huge_integer_exits_2(tmp_path, capsys, scorer, obj, mes
     (['{"id": "s1", "context": 5}'], 1),
     (['{"id": "s1", "context": null}'], 1),
     (['{"id": 1}', '{"id": "1"}'], 2),  # both would be written as "1"
+    (['{"id": "s1"}', '{"id": "s2",'], 2),
+    (['{"context": "a"}'], 1),
 ], ids=["scalar", "array", "id-array", "id-null", "id-bool", "context-number",
-        "context-null", "duplicate-written-id"])
+        "context-null", "duplicate-written-id", "bad-json", "id-missing"])
 def test_bad_corpus_record_exits_2_with_its_line(tmp_path, capsys, lines, lineno):
     model = tmp_path / "tiny3.json"
     write_model(make_tiny3(), model)
@@ -298,6 +339,31 @@ def test_bad_corpus_record_exits_2_with_its_line(tmp_path, capsys, lines, lineno
     assert rc == 2
     assert f"{corpus}:{lineno}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", [
+    ["decode", "--strategy", "beam"],
+    ["compare", "--runs", "beam", "--ks", "2"],
+    ["oracle", "--max-len", "2"],
+    ["train"],
+], ids=["decode", "compare", "oracle", "train"])
+def test_unwritable_output_exits_2(tiny3_files, capsys, command, target):
+    # the temp file could not be made, or could not replace a directory;
+    # either was a traceback (exit 1)
+    tmp, model, corpus = tiny3_files
+    if command == ["train"]:
+        source = ["--input", CORPUS_TXT]
+    else:
+        source = ["--model", model, "--input", corpus]
+    out = tmp / "missing" / "out" if target == "missing-directory" else tmp / "out"
+    if target == "a-directory":
+        out.mkdir()
+    rc = main([*command, *source, "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp.rglob(".seqdec-*"))
 
 
 class TestTrainCommand:
@@ -319,6 +385,14 @@ class TestTrainCommand:
         rc = main(["train", "--input", str(corpus), "--output",
                    str(tmp_path / "m.json"), "--alpha", "0"])
         assert rc == 2
+
+    def test_unreadable_input_rejected(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", str(missing), "--output", str(out)])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_corpus_rejected(self, tmp_path):
         corpus = tmp_path / "text.txt"
@@ -483,7 +557,7 @@ def test_server_error_reply_exits_3(tiny3_files, capsys):
     tmp, model, corpus = tiny3_files
     # the server's BOS is spelled differently, so it does not know the
     # client's "<s>" and answers with an error
-    vocab = Vocabulary.from_tokens(["<bos>", "a", "b", "</s>"], bos="<bos>")
+    vocab = Vocabulary(("<bos>", "a", "b", "</s>"), 0, 3)
     server = ScorerServer(TableModel(vocab, {}, {"a": 0.5, "b": 0.25, "</s>": 0.25})).start()
     try:
         host, port = server.address

@@ -9,7 +9,6 @@ from seqdec.core import (
     DecodeConfig,
     Hypothesis,
     Vocabulary,
-    canonical_sorted,
     check_budget,
     extend,
 )
@@ -51,8 +50,8 @@ class TestCanonicalOrder:
                 for c in hyps:
                     if ka <= kb <= c.sort_key():
                         assert ka <= c.sort_key()
-        once = canonical_sorted(hyps)
-        again = canonical_sorted(list(reversed(hyps)))
+        once = sorted(hyps, key=Hypothesis.sort_key)
+        again = sorted(reversed(hyps), key=Hypothesis.sort_key)
         assert [x.sort_key() for x in once] == [x.sort_key() for x in again]
 
 

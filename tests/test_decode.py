@@ -11,6 +11,8 @@ import pytest
 import seqdec
 from seqdec.core import (
     NEG_INF,
+    VALID_MODES,
+    VALID_STRATEGIES,
     BudgetExceededError,
     DecodeConfig,
     DecodeInput,
@@ -20,6 +22,7 @@ from seqdec.core import (
 )
 from seqdec.decode import (
     beam_decode,
+    decode,
     eval_lookahead,
     exhaustive_decode,
     greedy_decode,
@@ -427,6 +430,21 @@ class TestModes:
         # the paper's count: one logical call per beam slot per step
         assert run_in_child(code) == {
             "beam": 3_999_999_994, "lbs": 3_999_999_997, "lhbs": 3_999_999_994}
+
+
+@pytest.mark.parametrize("mode", VALID_MODES)
+@pytest.mark.parametrize("strategy", VALID_STRATEGIES)
+def test_a_vocabulary_of_only_bos_and_eos_decodes_to_eos(inp, strategy, mode):
+    # the first step's only candidate is complete: practical mode stops at
+    # the empty beam, and a raw beam settles on it, charging every step
+    vocab = Vocabulary.from_tokens(["<s>", "</s>"])
+    model = TableModel(vocab, {}, {"</s>": 1.0})
+    r = decode(model, inp, cfg(strategy, k=2, d=1, n_max=5, mode=mode))
+    eos = Hypothesis((0, 1), 0.0, (0.0,), True)
+    assert r.best == eos and r.finished == (eos,)
+    searched = strategy in ("beam", "lbs", "lhbs")
+    assert r.final_beam == (() if searched and mode == "practical" else (eos,))
+    assert r.scorer_calls == (5 if searched and mode == "raw" else 1)
 
 
 class TestLookaheadBudget:

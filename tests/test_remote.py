@@ -214,6 +214,16 @@ class TestProtocolValidation:
             client.next_logprobs("", (0,))
         client.close()
 
+    def test_peer_closing_after_the_request_is_transport_error(self):
+        def handle(conn):
+            with conn.makefile("rb") as f:
+                f.readline()
+
+        client = RemoteScorer(self.model.vocabulary, *_serve_once(handle))
+        with pytest.raises(ScorerTransportError, match="peer closed the connection"):
+            client.next_logprobs("", (0,))
+        client.close()
+
     def test_response_that_is_not_utf8_is_transport_error(self):
         def handle(conn):
             with conn.makefile("rb") as f:
