@@ -40,15 +40,20 @@ EXIT_BUDGET = 4
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Writes ``text`` to a temp file beside ``path`` and renames it over
+    ``path``; an ``OSError`` names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seqdec-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seqdec-")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -13,6 +13,11 @@ has read a reply with rows, the client adds "extension_tokens" (its
 extension tokens in extension-id order) to each request, and the server
 refuses a list that differs from its own.
 
+``RemoteScorer`` writes each request line exactly as ``json.dumps``
+writes the request object, joined from each token's JSON text (made
+once) and the context's (made once per context); the server writes
+each reply as ``json.dumps`` writes the reply object.
+
 Rows are numbered per connection. The server sends a row's values the
 first time it sends that row object on the connection, and after that
 its number: 0, 1, 2, ... in the order rows were first sent. It keys rows
@@ -77,12 +82,17 @@ class RemoteScorer:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise ScorerTransportError(f"connect to {host}:{port} failed: {exc}") from exc
-        self._file = self._sock.makefile("rwb")
+        self._file = self._sock.makefile("rb")
         self._next_id = 0
         self._lock = threading.Lock()
         self.round_trips = 0
+        #: Each token's JSON text, by token id.
+        self._token_texts = [json.dumps(t) for t in vocabulary.tokens]
+        #: The last context sent, and its JSON text.
+        self._context, self._context_text = "", '""'
         #: Sent with each request until the server has answered one with rows.
-        self._extension_tokens = vocabulary.to_strings(vocabulary.extension_ids)
+        self._extension_text = ', "extension_tokens": [' + ", ".join(
+            self._token_texts[i] for i in vocabulary.extension_ids) + "]"
         #: The rows the server has numbered on this connection, by number.
         self._numbered: list[Row] = []
 
@@ -104,20 +114,21 @@ class RemoteScorer:
             return [row for i in range(0, len(prefixes), MAX_REQUEST_PREFIXES)
                     for row in self.next_logprobs_batch(
                         context, prefixes[i:i + MAX_REQUEST_PREFIXES])]
-        vocabulary = self.vocabulary
-        tokens = vocabulary.tokens
+        texts = self._token_texts
         with self._lock:
             if self._file.closed:
                 raise ScorerTransportError("the connection is closed")
             req_id = self._next_id
             self._next_id += 1
             self.round_trips += 1
-            request = {"id": req_id, "context": context,
-                       "prefixes": [[tokens[i] for i in p] for p in prefixes]}
-            if self._extension_tokens is not None:
-                request["extension_tokens"] = self._extension_tokens
-            data = json.dumps(request).encode("utf-8") + b"\n"
-            limit = (_REPLY_BYTES_PER_VALUE * len(prefixes) * len(vocabulary.extension_ids)
+            if context is not self._context:
+                self._context, self._context_text = context, json.dumps(context)
+            # the bytes json.dumps(request) writes, joined from kept texts
+            data = ('{"id": %d, "context": %s, "prefixes": [%s]%s}\n' % (
+                req_id, self._context_text,
+                ", ".join(["[" + ", ".join([texts[i] for i in p]) + "]" for p in prefixes]),
+                self._extension_text or "")).encode()
+            limit = (_REPLY_BYTES_PER_VALUE * len(prefixes) * len(self.vocabulary.extension_ids)
                      + _REPLY_BYTES_PER_REQUEST_BYTE * len(data) + _REPLY_SLACK_BYTES)
             try:
                 response = self._exchange(data, limit)
@@ -134,8 +145,7 @@ class RemoteScorer:
     def _exchange(self, data: bytes, limit: int) -> dict:
         """Sends one request line and reads its reply as a JSON object."""
         try:
-            self._file.write(data)
-            self._file.flush()
+            self._sock.sendall(data)
             line = self._file.readline(limit + 1)
         except OSError as exc:
             raise ScorerTransportError(f"request failed: {exc}") from exc
@@ -175,7 +185,7 @@ class RemoteScorer:
             if (len(numbered) + 1) * n_ext <= MAX_NUMBERED_VALUES:  # as the server
                 numbered.append(row)
             out.append(row)
-        self._extension_tokens = None  # the server has checked them
+        self._extension_text = None  # the server has checked them
         return out
 
 
@@ -242,12 +252,13 @@ def _error_reply(req_id, message: str) -> bytes:
     return json.dumps({"id": req_id, "error": message}, allow_nan=False).encode("utf-8") + b"\n"
 
 
-def _respond(counted: CountingScorer, numbers: dict[int, tuple[int, Row]],
+def _respond(counted: CountingScorer, numbers: dict[int, tuple[str, Row]],
              line: bytes) -> bytes:
     """The encoded response to one request line: its rows, or an error
     naming what was wrong with the request. ``numbers`` maps ``id(row)``
-    to the number and the row (held, so the id is not reused) of each row
-    numbered on the connection; a reply numbers its new rows once built."""
+    to the number, as text, and the row (held, so the id is not reused)
+    of each row numbered on the connection; a reply numbers its new rows
+    once built."""
     req_id = None
     try:
         request = _read_request(line.decode(json.detect_encoding(line), "surrogatepass"))
@@ -257,42 +268,51 @@ def _respond(counted: CountingScorer, numbers: dict[int, tuple[int, Row]],
         if "extension_tokens" in request:
             if request["extension_tokens"] != vocabulary.to_strings(vocabulary.extension_ids):
                 raise ValueError("extension tokens differ from the server's")
-        if not isinstance(request["prefixes"], list):
+        items = request["prefixes"]
+        if not isinstance(items, list):
             raise TypeError("prefixes must be a list of prefixes")
-        if len(request["prefixes"]) > MAX_REQUEST_PREFIXES:
+        if len(items) > MAX_REQUEST_PREFIXES:
             raise ValueError(f"more than {MAX_REQUEST_PREFIXES} prefixes in one request")
-        prefixes = [_prefix(vocabulary.token_ids, p) for p in request["prefixes"]]
+        token_id = vocabulary.token_ids.__getitem__
+        try:
+            # a string or an object would map one key at a time, so it is dropped
+            prefixes = [tuple(map(token_id, p)) for p in items if type(p) is list]
+        except (KeyError, TypeError):
+            prefixes = []
+        if len(prefixes) != len(items):  # _prefix raises the error that names it
+            prefixes = [_prefix(vocabulary.token_ids, p) for p in items]
         n_ext, new, texts = len(vocabulary.extension_ids), {}, []
         for row in counted.next_logprobs_batch(context, prefixes):
             known = numbers.get(id(row)) or new.get(id(row))
             if known is not None:
-                texts.append(str(known[0]))
+                texts.append(known[0])
                 continue
             texts.append(json.dumps([None if lp == NEG_INF else lp for lp in row.values()],
                                     allow_nan=False))
             if (len(numbers) + len(new) + 1) * n_ext <= MAX_NUMBERED_VALUES:  # as the client
-                new[id(row)] = (len(numbers) + len(new), row)
-        # the bytes json.dumps({"id": req_id, "rows": ...}) writes
-        response = ('{"id": ' + json.dumps(req_id, allow_nan=False) + ', "rows": ['
-                    + ", ".join(texts) + ']}')
+                new[id(row)] = (str(len(numbers) + len(new)), row)
+        # the bytes json.dumps({"id": req_id, "rows": ...}) writes; the
+        # request parser has refused NaN and Infinity
+        response = '{"id": %s, "rows": [%s]}\n' % (
+            str(req_id) if type(req_id) is int else json.dumps(req_id), ", ".join(texts))
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         return _error_reply(req_id, f"{type(exc).__name__}: {exc}")
     numbers.update(new)
-    return response.encode("utf-8") + b"\n"
+    return response.encode()
 
 
 class _ScorerRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         counted = CountingScorer(self.server.scorer)  # type: ignore[attr-defined]
-        numbers: dict[int, tuple[int, Row]] = {}
+        numbers: dict[int, tuple[str, Row]] = {}
+        send = self.connection.sendall
         while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
             if len(line) > MAX_REQUEST_BYTES:
-                self.wfile.write(_error_reply(
+                send(_error_reply(
                     None, f"ValueError: request line longer than {MAX_REQUEST_BYTES} bytes"))
                 return  # the connection closes
             if line.strip():
-                self.wfile.write(_respond(counted, numbers, line))
-                self.wfile.flush()
+                send(_respond(counted, numbers, line))
 
 
 class ScorerServer(socketserver.ThreadingTCPServer):

@@ -91,7 +91,13 @@ class TableModel:
             for t in key.split():
                 if t not in ids:
                     raise ValueError(f"row key {key!r} names {t!r}, not a vocabulary token")
-            first = keys.setdefault(tuple(ids[t] for t in key.split()), key)
+            prefix = tuple(ids[t] for t in key.split())
+            # no prefix reaches it: a lookup drops the BOS a prefix begins
+            # with, and a prefix holds EOS only at its end
+            if vocabulary.bos_id in prefix or vocabulary.eos_id in prefix[:-1]:
+                raise ValueError(f"row key {key!r} names BOS or holds EOS before its end, "
+                                 "so no prefix reaches it")
+            first = keys.setdefault(prefix, key)
             if first != key:  # one row would be lost
                 raise ValueError(f"row keys {first!r} and {key!r} name the same prefix")
         self.rows = rows
@@ -286,11 +292,12 @@ class CountingScorer:
         method if it has one, else from one ``next_logprobs`` call each."""
         self.calls += len(prefixes)
         if self._inner_batch is None:
-            rows = [self.inner.next_logprobs(context, p) for p in prefixes]
-        else:
-            rows = self._inner_batch(context, prefixes)
-            if len(rows) != len(prefixes):
-                raise ValueError(f"batch returned {len(rows)} rows for {len(prefixes)} prefixes")
+            score = self.inner.next_logprobs
+            return [row if type(row := score(context, p)) is Row else self._row(row)
+                    for p in prefixes]
+        rows = self._inner_batch(context, prefixes)
+        if len(rows) != len(prefixes):
+            raise ValueError(f"batch returned {len(rows)} rows for {len(prefixes)} prefixes")
         return [row if type(row) is Row else self._row(row) for row in rows]
 
     def charge(self) -> None:

@@ -254,7 +254,14 @@ def test_model_with_whitespace_in_a_token_exits_2(tmp_path, capsys, scorer, obj)
                "counts": {"<s> a": {"a": 1}}}, "history '<s> a' must hold order - 1 = 1 words"),
     ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 1, "alpha": 0.5,
                "counts": {"a": {"a": 1}}}, "history 'a' must hold order - 1 = 0 words"),
-], ids=["table-keys", "ngram-histories", "ngram-long-history", "unigram-history"])
+    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": {"<s>": {"a": 1.0}},
+               "default": {"</s>": 1.0}},
+     "row key '<s>' names BOS or holds EOS before its end, so no prefix reaches it"),
+    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": {"</s> a": {"a": 1.0}},
+               "default": {"</s>": 1.0}},
+     "row key '</s> a' names BOS or holds EOS before its end, so no prefix reaches it"),
+], ids=["table-keys", "ngram-histories", "ngram-long-history", "unigram-history",
+        "table-bos-key", "table-interior-eos-key"])
 def test_model_key_that_collides_or_cannot_be_reached_exits_2(tmp_path, capsys, scorer, obj,
                                                                message):
     # one of two colliding keys was silently dropped, and a history of the
@@ -363,6 +370,8 @@ def test_unwritable_output_exits_2(tiny3_files, capsys, command, target):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # the path asked for, not the temp file's random name
+    assert repr(str(out)) in err and ".seqdec-" not in err
     assert not list(tmp.rglob(".seqdec-*"))
 
 

@@ -305,6 +305,19 @@ class TestServerErrorReplies:
         (b'{"id": 4, "context": "", "prefixes": [["<s>", "zz"]]}', 4, "unknown token 'zz'"),
         (b'{"id": 5, "context": "", "prefixes": [["a"]]}', 5, "must begin with BOS"),
         (b'{"id": 6, "context": ""}', 6, "KeyError: 'prefixes'"),
+        # a prefix that is not a list is refused whole, not read one key at a time
+        (b'{"id": 8, "context": "", "prefixes": ["<s>"]}', 8,
+         "TypeError: a prefix must be a list of token strings"),
+        (b'{"id": 9, "context": "", "prefixes": [["<s>"], "a"]}', 9,
+         "TypeError: a prefix must be a list of token strings"),
+        (b'{"id": 10, "context": "", "prefixes": [["<s>"], {"<s>": 1}]}', 10,
+         "TypeError: a prefix must be a list of token strings"),
+        (b'{"id": 11, "context": "", "prefixes": [3]}', 11,
+         "TypeError: a prefix must be a list of token strings"),
+        (b'{"id": 12, "context": "", "prefixes": [["<s>", 5]]}', 12,
+         "ValueError: unknown token 5"),
+        (b'{"id": 13, "context": "", "prefixes": [["<s>", "zz", ["a"]]]}', 13,
+         "TypeError: unhashable type: 'list'"),
     ])
     def test_error_reply_then_keeps_serving(self, served_tiny3, line, req_id, message):
         model, address = served_tiny3
@@ -471,10 +484,15 @@ class TestBatchedWire:
         DecodeConfig(beam_width=3, max_len=5, strategy="beam", mode="raw"),
         DecodeConfig(beam_width=3, max_len=5, strategy="lbs", mode="raw"),
         DecodeConfig(beam_width=3, lookahead_depth=1, max_len=5, strategy="lbs", mode="raw"),
+        DecodeConfig(beam_width=3, lookahead_depth=1, max_len=5, strategy="lbs",
+                     mode="practical"),
+        DecodeConfig(beam_width=3, lookahead_depth=2, max_len=5, strategy="lbs", mode="raw"),
+        DecodeConfig(beam_width=3, lookahead_depth=2, max_len=5, strategy="lbs",
+                     mode="practical"),
         DecodeConfig(beam_width=3, max_len=5, strategy="lhbs", mode="raw"),
         DecodeConfig(beam_width=4, max_len=6, strategy="lhbs", mode="practical"),
-    ], ids=["beam-practical", "beam-raw", "lbs-d0-raw", "lbs-d1-raw",
-            "lhbs-raw", "lhbs-practical"])
+    ], ids=["beam-practical", "beam-raw", "lbs-d0-raw", "lbs-d1-raw", "lbs-d1-practical",
+            "lbs-d2-raw", "lbs-d2-practical", "lhbs-raw", "lhbs-practical"])
     def test_round_trips_and_logical_calls(self, serve, inp, config):
         server = serve(make_tiny3())
         for seed in range(6):
@@ -682,6 +700,49 @@ class TestReplyBytes:
                 items.append(known[0] if known else row)
                 numbered += [] if known else [obj]
             assert _respond(counted, numbers, line) == _reference_reply(req_id, items)
+
+
+class TestRequestBytes:
+    """Each request line the client writes is the request object as
+    json.dumps writes it."""
+
+    VOCAB = Vocabulary.from_tokens(["<s>", "caf\u00e9", "\u65e5\u672c", "\U0001f600", 'a"b',
+                                    "c\\d", "</s>"])
+    MODEL = TableModel(VOCAB, {}, {"caf\u00e9": 0.5, "a\"b": 0.25, "</s>": 0.25})
+
+    @pytest.mark.parametrize("context", [
+        "", 'say "hi" \\ \t\x01 \U0001f600 caf\u00e9 \u65e5\u672c'], ids=["empty", "escaped"])
+    def test_request_line_is_the_request_dumped(self, context):
+        lines = []
+
+        def handle(conn):
+            counted, numbers = CountingScorer(self.MODEL), {}
+            with conn.makefile("rb") as f:
+                for line in f:
+                    lines.append(line)
+                    conn.sendall(_respond(counted, numbers, line))
+
+        client = RemoteScorer(self.VOCAB, *_serve_once(handle))
+        every = [(0, *tail) for n in range(3)
+                 for tail in itertools.product(self.VOCAB.core_ids, repeat=n)]
+        split = [every[i % len(every)] for i in range(MAX_REQUEST_PREFIXES + 1)]
+        calls = [(context, [(0,)]), (context, every), ("other", []), (context, split)]
+        try:
+            for ctx, prefixes in calls:
+                client.next_logprobs_batch(ctx, prefixes)
+        finally:
+            client.close()
+        # the split batch goes as two requests
+        requests = calls[:3] + [(context, split[:MAX_REQUEST_PREFIXES]),
+                                (context, split[MAX_REQUEST_PREFIXES:])]
+        expected = []
+        for req_id, (ctx, prefixes) in enumerate(requests):
+            request = {"id": req_id, "context": ctx,
+                       "prefixes": [self.VOCAB.to_strings(p) for p in prefixes]}
+            if req_id == 0:  # until a reply with rows arrives
+                request["extension_tokens"] = self.VOCAB.to_strings(self.VOCAB.extension_ids)
+            expected.append(json.dumps(request).encode() + b"\n")
+        assert lines == expected
 
 
 def _conversation(address, requests):
