@@ -13,7 +13,6 @@ from seqdec.core import (
 from seqdec.decode import (
     beam_decode,
     decode,
-    eval_lookahead,
     exhaustive_decode,
     greedy_decode,
     lbs_decode,
@@ -33,7 +32,6 @@ __all__ = [
     "exhaustive_decode",
     "lbs_decode",
     "lhbs_decode",
-    "eval_lookahead",
     "decode",
     "TableModel",
     "NgramModel",

@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import closing, nullcontext
 from typing import Sequence
 
 from seqdec.core import (
@@ -86,76 +86,64 @@ def _read_corpus(path: str) -> list[DecodeInput]:
     return inputs
 
 
-@contextmanager
 def _open_scorer(args):
-    """The scorer named by the arguments; a remote one is closed on exit."""
-    scorer = _make_scorer(args)
-    try:
-        yield scorer
-    finally:
-        if isinstance(scorer, RemoteScorer):
-            scorer.close()
-
-
-def _make_scorer(args):
-    if args.scorer == "remote":
-        if not args.endpoint:
-            raise ValueError("--endpoint required for remote scorer")
+    """The scorer named by the arguments, as a context manager that
+    closes a remote one on exit."""
+    if args.scorer != "remote":
         if not args.model:
-            raise ValueError("--model (vocabulary file) required for remote scorer")
+            raise ValueError("--model required")
         try:
-            vocab = load_vocabulary(args.model)
+            return nullcontext(load_model(args.scorer, args.model))
         except (OSError, KeyError, ValueError) as exc:
-            raise ValueError(f"cannot load vocabulary from {args.model}: {exc}") from exc
-        host, _, port = args.endpoint.rpartition(":")
-        try:
-            number = int(port)
-        except ValueError:
-            number = 0
-        if not 1 <= number <= 65535:  # the resolver would wrap it modulo 65536
-            raise ValueError(f"--endpoint {args.endpoint}: the port must be 1 to 65535")
-        return RemoteScorer(vocab, host, number)
+            raise ValueError(f"cannot load model {args.model}: {exc}") from exc
+    if not args.endpoint:
+        raise ValueError("--endpoint required for remote scorer")
     if not args.model:
-        raise ValueError("--model required")
+        raise ValueError("--model (vocabulary file) required for remote scorer")
     try:
-        return load_model(args.scorer, args.model)
+        vocab = load_vocabulary(args.model)
     except (OSError, KeyError, ValueError) as exc:
-        raise ValueError(f"cannot load model {args.model}: {exc}") from exc
+        raise ValueError(f"cannot load vocabulary from {args.model}: {exc}") from exc
+    host, _, port = args.endpoint.rpartition(":")
+    try:
+        number = int(port)
+    except ValueError:
+        number = 0
+    if not 1 <= number <= 65535:  # the resolver would wrap it modulo 65536
+        raise ValueError(f"--endpoint {args.endpoint}: the port must be 1 to 65535")
+    return closing(RemoteScorer(vocab, host, number))
 
 
 def _json_float(x: float):
     return None if math.isinf(x) else x
 
 
-def cmd_decode(args) -> int:
-    with _open_scorer(args) as scorer:
-        corpus = _read_corpus(args.input)
-        config = DecodeConfig(beam_width=args.k, lookahead_depth=args.d,
-                              max_len=args.max_len, strategy=args.strategy,
-                              mode=args.mode, budget=args.budget)
-        lines = []
-        for inp in corpus:
-            t0 = time.perf_counter()
-            result = decode(scorer, inp, config)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            best = result.best
-            record = {
-                "id": inp.id,
-                "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
-                "score": _json_float(best.cum_logprob),
-                "nll": _json_float(-best.cum_logprob),
-                "ppl": _json_float(perplexity(best)),
-                "uid_error": _json_float(step_uid_error(best)),
-                "length": best.length,
-                "scorer_calls": result.scorer_calls,
-                "wall_time_ms": wall_ms,
-                "strategy": args.strategy,
-                "k": args.k,
-                "d": args.d,
-            }
-            lines.append(json.dumps(record) + "\n")
-    _atomic_write(args.output, "".join(lines))
-    return EXIT_OK
+def cmd_decode(scorer, corpus, args) -> str:
+    config = DecodeConfig(beam_width=args.k, lookahead_depth=args.d,
+                          max_len=args.max_len, strategy=args.strategy,
+                          mode=args.mode, budget=args.budget)
+    lines = []
+    for inp in corpus:
+        t0 = time.perf_counter()
+        result = decode(scorer, inp, config)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        best = result.best
+        record = {
+            "id": inp.id,
+            "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
+            "score": _json_float(best.cum_logprob),
+            "nll": _json_float(-best.cum_logprob),
+            "ppl": _json_float(perplexity(best)),
+            "uid_error": _json_float(step_uid_error(best)),
+            "length": best.length,
+            "scorer_calls": result.scorer_calls,
+            "wall_time_ms": wall_ms,
+            "strategy": args.strategy,
+            "k": args.k,
+            "d": args.d,
+        }
+        lines.append(json.dumps(record) + "\n")
+    return "".join(lines)
 
 
 def _parse_runs(spec: str) -> list[tuple[str, int]]:
@@ -175,53 +163,43 @@ def _parse_runs(spec: str) -> list[tuple[str, int]]:
     return runs
 
 
-def cmd_compare(args) -> int:
-    with _open_scorer(args) as scorer:
-        corpus = _read_corpus(args.input)
-        runs = _parse_runs(args.runs)
-        ks = [int(k) for k in args.ks.split(",")]
-        configs = []
-        for k in ks:
-            for strategy, d in runs:
-                configs.append(DecodeConfig(beam_width=k, lookahead_depth=d,
-                                            max_len=args.max_len, strategy=strategy,
-                                            mode=args.mode, budget=args.budget))
-        rows = compare_strategies(scorer, corpus, configs)
-    _atomic_write(args.output, rows_to_csv(rows))
-    return EXIT_OK
+def cmd_compare(scorer, corpus, args) -> str:
+    runs = _parse_runs(args.runs)
+    ks = [int(k) for k in args.ks.split(",")]
+    configs = []
+    for k in ks:
+        for strategy, d in runs:
+            configs.append(DecodeConfig(beam_width=k, lookahead_depth=d,
+                                        max_len=args.max_len, strategy=strategy,
+                                        mode=args.mode, budget=args.budget))
+    return rows_to_csv(compare_strategies(scorer, corpus, configs))
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> str:
     with open(args.input, encoding="utf-8") as f:
         model = train_ngram(f, args.order, args.alpha)
-    text = json.dumps(model.to_json(), sort_keys=True)
-    _atomic_write(args.output, text + "\n")
-    return EXIT_OK
+    return json.dumps(model.to_json(), sort_keys=True) + "\n"
 
 
-def cmd_oracle(args) -> int:
-    with _open_scorer(args) as scorer:
-        corpus = _read_corpus(args.input)
-        lines = []
-        for inp in corpus:
-            if args.enumerate:
-                for tokens, score in enumerate_all(scorer, inp, args.max_len,
-                                                   budget=args.budget):
-                    lines.append(json.dumps({
-                        "id": inp.id,
-                        "tokens": scorer.vocabulary.to_strings(tokens[1:]),
-                        "score": _json_float(score),
-                    }) + "\n")
-            else:
-                best = brute_force_map(scorer, inp, args.max_len, budget=args.budget)
+def cmd_oracle(scorer, corpus, args) -> str:
+    lines = []
+    for inp in corpus:
+        if args.enumerate:
+            for tokens, score in enumerate_all(scorer, inp, args.max_len, budget=args.budget):
                 lines.append(json.dumps({
                     "id": inp.id,
-                    "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
-                    "score": _json_float(best.cum_logprob),
-                    "p": math.exp(best.cum_logprob),
+                    "tokens": scorer.vocabulary.to_strings(tokens[1:]),
+                    "score": _json_float(score),
                 }) + "\n")
-    _atomic_write(args.output, "".join(lines))
-    return EXIT_OK
+        else:
+            best = brute_force_map(scorer, inp, args.max_len, budget=args.budget)
+            lines.append(json.dumps({
+                "id": inp.id,
+                "tokens": scorer.vocabulary.to_strings(best.tokens[1:]),
+                "score": _json_float(best.cum_logprob),
+                "p": math.exp(best.cum_logprob),
+            }) + "\n")
+    return "".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="JSONL corpus path")
         p.add_argument("--output", required=True, help="output path")
         p.add_argument("--max-len", dest="max_len", type=int, default=32)
-        # a string default goes through type=int, so a bad value exits 2
-        p.add_argument("--budget", type=int,
-                       default=os.environ.get("SEQDEC_BUDGET") or DEFAULT_BUDGET)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_decode = sub.add_parser("decode", help="decode a JSONL corpus", allow_abbrev=False)
     add_common(p_decode)
@@ -263,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--output", required=True, help="model JSON path")
     p_train.add_argument("--order", type=int, default=2)
     p_train.add_argument("--alpha", type=float, default=1.0)
-    p_train.set_defaults(func=cmd_train)
 
     p_oracle = sub.add_parser("oracle", help="brute-force MAP / full enumeration",
                               allow_abbrev=False)
@@ -282,7 +257,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        if args.command == "train":
+            text = cmd_train(args)
+        else:
+            with _open_scorer(args) as scorer:
+                text = args.func(scorer, _read_corpus(args.input), args)
+        _atomic_write(args.output, text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -292,6 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    return EXIT_OK
 
 
 if __name__ == "__main__":

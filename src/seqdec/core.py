@@ -92,9 +92,9 @@ class Vocabulary:
 class Row(tuple):
     """A validated next-token row: log-probabilities indexed by token id
     over the whole vocabulary, -inf in the BOS slot. A tuple is read-only,
-    so a row is shared between calls and read as it is. ``keys()`` and
-    ``values()`` run over the extension ids, so ``dict(row)`` is
-    ``{extension id: log-probability}``.
+    so a row is shared between calls and read as it is. ``keys()`` runs
+    over the extension ids, so ``dict(row)`` is ``{extension id:
+    log-probability}``, a copy a caller may change.
     """
 
     _ranked: tuple[int, ...] | None = None
@@ -115,15 +115,13 @@ class Row(tuple):
     def keys(self) -> tuple[int, ...]:
         return self.vocabulary.extension_ids
 
-    def values(self) -> tuple[float, ...]:
-        return self.vocabulary.extension_values(self)
-
     def ranked(self) -> tuple[int, ...]:
         """The extension ids by log-probability descending, then id,
         computed on the first call and kept with the row."""
         if self._ranked is None:
             # stable, so equal log-probabilities keep id order
-            self._ranked = tuple(sorted(self.keys(), key=self.__getitem__, reverse=True))
+            self._ranked = tuple(sorted(self.vocabulary.extension_ids,
+                                        key=self.__getitem__, reverse=True))
         return self._ranked
 
 

@@ -20,7 +20,7 @@ Two execution modes are supported:
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 from operator import is_, itemgetter
@@ -172,12 +172,17 @@ def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
 
 def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], cum: float,
                d: int, f_max: float) -> float:
-    """eval_lookahead for the prefix ``tokens`` scored ``cum``, on floats
-    and validated rows read as they are.
+    """Best-first branch-and-bound lookahead from the prefix ``tokens``
+    scored ``cum``: max(f_max, cum + the best d-step continuation
+    increment), on floats and validated rows read as they are.
 
-    A depth-first walk on an explicit stack: each open level is an
-    iterator over its node's children, by score descending, then token
-    id, and the path is held once, so memory is linear in ``d``.
+    EOS is absorbing: a complete prefix contributes nothing further.
+    Children are visited by score descending, then token id ascending;
+    branches whose running score already falls below f_max are pruned,
+    which is sound because scores never increase under extension. The
+    walk is depth-first on an explicit stack: each open level is an
+    iterator over its node's children, and the path is held once, so
+    memory is linear in ``d``.
     """
     eos = counted.vocabulary.eos_id
     if d == 0 or tokens[-1] == eos:
@@ -222,28 +227,19 @@ def _children(cum: float, row: Row) -> Iterator[tuple[float, int]]:
         score = cum + row[tid]
         j = i + 1
         while j < n and cum + row[order[j]] == score:
-            j += 1
+            if row[order[j]] == row[order[j - 1]]:  # a run of one log-probability
+                j = bisect_right(order, -row[order[j]], j, key=lambda t: -row[t])
+            else:  # distinct values that round together
+                j += 1
         if j == i + 1:
             yield score, tid
+        elif row[order[j - 1]] == row[tid]:  # one log-probability: the ranking keeps id order
+            for m in range(i, j):
+                yield cum + row[order[m]], order[m]
         else:
             for tid in sorted(order[i:j]):
                 yield cum + row[tid], tid
         i = j
-
-
-def eval_lookahead(scorer: Scorer, context: str, h: Hypothesis, d: int,
-                   f_max: float = NEG_INF) -> float:
-    """Best-first branch-and-bound lookahead.
-
-    Returns max(f_max, h.cum_logprob + best d-step continuation increment).
-    EOS is absorbing: a complete hypothesis contributes nothing further.
-    Children are visited by score descending, then token id ascending;
-    branches whose running score already falls below f_max are pruned,
-    which is sound because scores never increase under extension.
-    """
-    if d < 0:
-        raise ValueError("lookahead depth must be >= 0")
-    return _lookahead(CountingScorer(scorer), context, h.tokens, h.cum_logprob, d, f_max)
 
 
 def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:

@@ -42,6 +42,8 @@ def enumerate_all(scorer: Scorer, inp: DecodeInput, n_max: int,
                   budget: int = DEFAULT_BUDGET) -> tuple[_Scored, ...]:
     """(tokens, score) of every complete sequence of at most n_max
     generated tokens, scored by direct left-to-right factorization."""
+    if n_max < 1:  # [BOS, EOS] takes one step
+        raise ValueError("max_len must be >= 1")
     vocab = scorer.vocabulary
     check_budget(len(vocab.extension_ids), n_max, budget)
     return tuple(_expand(scorer, inp.context, (vocab.bos_id,), n_max)[0])

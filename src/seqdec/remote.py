@@ -67,6 +67,9 @@ _REPLY_BYTES_PER_VALUE = 32
 _REPLY_BYTES_PER_REQUEST_BYTE = 8
 _REPLY_SLACK_BYTES = 1024
 
+#: Seconds the client waits to connect, and for each send or reply read.
+_TIMEOUT_S = 10.0
+
 
 class RemoteScorer:
     """Client over a connected byte stream speaking the wire protocol.
@@ -75,11 +78,10 @@ class RemoteScorer:
     ``MAX_REQUEST_PREFIXES`` prefixes.
     """
 
-    def __init__(self, vocabulary: Vocabulary, host: str, port: int,
-                 timeout: float = 10.0):
+    def __init__(self, vocabulary: Vocabulary, host: str, port: int):
         self.vocabulary = vocabulary
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
+            self._sock = socket.create_connection((host, port), timeout=_TIMEOUT_S)
         except OSError as exc:
             raise ScorerTransportError(f"connect to {host}:{port} failed: {exc}") from exc
         self._file = self._sock.makefile("rb")
@@ -287,7 +289,8 @@ def _respond(counted: CountingScorer, numbers: dict[int, tuple[str, Row]],
             if known is not None:
                 texts.append(known[0])
                 continue
-            texts.append(json.dumps([None if lp == NEG_INF else lp for lp in row.values()],
+            values = vocabulary.extension_values(row)
+            texts.append(json.dumps([None if lp == NEG_INF else lp for lp in values],
                                     allow_nan=False))
             if (len(numbers) + len(new) + 1) * n_ext <= MAX_NUMBERED_VALUES:  # as the client
                 new[id(row)] = (str(len(numbers) + len(new)), row)

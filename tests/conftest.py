@@ -14,7 +14,7 @@ from seqdec.core import (
     Vocabulary,
     extend,
 )
-from seqdec.decode import lhbs_decode
+from seqdec.decode import _lookahead, lhbs_decode
 from seqdec.oracle import breadth_first_lookahead, sum_left_to_right
 from seqdec.scorers import CountingScorer, TableModel
 
@@ -234,6 +234,12 @@ def assert_lhbs_steps_match_reference(scorer, inp: DecodeInput, k: int, n_max: i
         want, steps = lhbs_reference_decode(scorer, inp.context, k, t, mode)
         assert got == want, f"k {k} mode {mode} max_len {t}"
     return steps
+
+
+def lookahead(scorer, context: str, h, d: int, f_max: float = NEG_INF) -> float:
+    """The decoders' lookahead walk from ``h``: max(f_max, h's score + its
+    best d-step continuation increment)."""
+    return _lookahead(CountingScorer(scorer), context, h.tokens, h.cum_logprob, d, f_max)
 
 
 def reference_eval_lookahead(scorer, context: str, h, d: int, f_max: float = NEG_INF) -> float:

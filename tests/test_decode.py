@@ -23,7 +23,6 @@ from seqdec.core import (
 from seqdec.decode import (
     beam_decode,
     decode,
-    eval_lookahead,
     exhaustive_decode,
     greedy_decode,
     lbs_decode,
@@ -35,6 +34,7 @@ from seqdec.scorers import CountingScorer, TableModel
 from conftest import (
     assert_lhbs_steps_match_reference,
     lbs_reference_decode,
+    lookahead,
     one_hot_model,
     random_table_model,
 )
@@ -179,25 +179,25 @@ class TestEvalLookahead:
         vocab = tiny3.vocabulary
         root = Hypothesis.initial(vocab)
         b = extend(root, 2, math.log(0.4), vocab.eos_id)
-        f = eval_lookahead(tiny3, inp.context, b, 1)
+        f = lookahead(tiny3, inp.context, b, 1)
         assert f == pytest.approx(math.log(0.28), abs=1e-4)
 
     def test_depth_zero_returns_cum(self, tiny3, inp):
         vocab = tiny3.vocabulary
         h = extend(Hypothesis.initial(vocab), 1, math.log(0.5), vocab.eos_id)
-        assert eval_lookahead(tiny3, inp.context, h, 0) == h.cum_logprob
-        assert eval_lookahead(tiny3, inp.context, h, 0, f_max=-10.0) == h.cum_logprob
+        assert lookahead(tiny3, inp.context, h, 0) == h.cum_logprob
+        assert lookahead(tiny3, inp.context, h, 0, f_max=-10.0) == h.cum_logprob
 
     def test_complete_is_absorbing(self, tiny3, inp):
         vocab = tiny3.vocabulary
         done = extend(Hypothesis.initial(vocab), vocab.eos_id, math.log(0.1), vocab.eos_id)
         for d in range(4):
-            assert eval_lookahead(tiny3, inp.context, done, d) == done.cum_logprob
+            assert lookahead(tiny3, inp.context, done, d) == done.cum_logprob
 
     def test_f_max_floor(self, tiny3, inp):
         vocab = tiny3.vocabulary
         h = extend(Hypothesis.initial(vocab), 2, math.log(0.4), vocab.eos_id)
-        assert eval_lookahead(tiny3, inp.context, h, 1, f_max=-0.1) == -0.1
+        assert lookahead(tiny3, inp.context, h, 1, f_max=-0.1) == -0.1
 
     def test_matches_breadth_first(self, inp):
         for seed in range(40):
@@ -208,16 +208,16 @@ class TestEvalLookahead:
             h = extend(h, vocab.core_ids[seed % 2], row[vocab.core_ids[seed % 2]], vocab.eos_id)
             for d in range(5):
                 truth = h.cum_logprob + breadth_first_lookahead(model, inp, h, d)
-                assert eval_lookahead(model, inp.context, h, d) == pytest.approx(truth, abs=1e-12)
+                assert lookahead(model, inp.context, h, d) == pytest.approx(truth, abs=1e-12)
 
     def test_pruning_saves_calls(self, inp):
         model = random_table_model(1, 5, 4)
         vocab = model.vocabulary
         h = Hypothesis.initial(vocab)
         pruned = CountingScorer(model)
-        eval_lookahead(pruned, inp.context, h, 3, f_max=-0.05)
+        lookahead(pruned, inp.context, h, 3, f_max=-0.05)
         unpruned = CountingScorer(model)
-        eval_lookahead(unpruned, inp.context, h, 3)
+        lookahead(unpruned, inp.context, h, 3)
         assert pruned.calls <= unpruned.calls
 
 
@@ -431,6 +431,34 @@ class TestModes:
         assert run_in_child(code) == {
             "beam": 3_999_999_994, "lbs": 3_999_999_997, "lhbs": 3_999_999_994}
 
+    def test_a_wide_beam_over_one_tied_row_reads_the_run_lazily(self):
+        # every child of every slot ties on a uniform 32,000-token row;
+        # sorting each slot's whole run before its first child took about
+        # 56 s per decode, reading it lazily under 2 s (2 cores, Python
+        # 3.11). The decodes run in a child, so a whole-run read fails by
+        # the timeout
+        code = """if True:
+            import json
+            from seqdec.core import DecodeConfig, DecodeInput, Vocabulary
+            from seqdec.decode import decode
+            from seqdec.scorers import TableModel
+            vocab = Vocabulary.from_tokens(["<s>", *("w%d" % i for i in range(31998)), "</s>"])
+            model = TableModel(vocab, {}, {t: 1 / 31999 for t in vocab.tokens[1:]})
+            # ties go to the lower ids, so every slot extends w0 ... w0
+            want = [(0,) + (1,) * 499 + (t,) for t in range(1, 65)]
+            out = {}
+            for s in ("beam", "lhbs"):
+                for mode in ("raw", "practical"):
+                    r = decode(model, DecodeInput("x"), DecodeConfig(
+                        beam_width=64, max_len=500, strategy=s, mode=mode))
+                    out[s + "-" + mode] = [r.scorer_calls, [h.tokens for h in r.final_beam] == want]
+            print(json.dumps(out))
+        """
+        # one call for the first step, then one per slot: 1 + 64 x 499
+        assert run_in_child(code) == {
+            "beam-raw": [31_937, True], "beam-practical": [31_937, True],
+            "lhbs-raw": [31_937, True], "lhbs-practical": [31_937, True]}
+
 
 @pytest.mark.parametrize("mode", VALID_MODES)
 @pytest.mark.parametrize("strategy", VALID_STRATEGIES)
@@ -544,7 +572,7 @@ class TestLookaheadBudget:
         model = CountingScorer(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}))
         root = Hypothesis.initial(vocab)
         # the dive down "a" asks one row per level; stopping at once wins
-        assert eval_lookahead(model, inp.context, root, 5000) == math.log(0.1)
+        assert lookahead(model, inp.context, root, 5000) == math.log(0.1)
         assert model.calls == 5000
 
     def test_eval_lookahead_memory_is_linear_in_d(self, inp):
@@ -555,7 +583,7 @@ class TestLookaheadBudget:
         model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
         tracemalloc.start()
         try:
-            f = eval_lookahead(model, inp.context, Hypothesis.initial(vocab), 2000)
+            f = lookahead(model, inp.context, Hypothesis.initial(vocab), 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,7 +14,6 @@ from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, Hypothesis, Vocabula
 from seqdec.decode import (
     _ranked,
     beam_decode,
-    eval_lookahead,
     exhaustive_decode,
     lbs_decode,
     lhbs_decode,
@@ -25,6 +24,7 @@ from conftest import (
     PrefixRecorder,
     assert_lhbs_steps_match_reference,
     lbs_reference_decode,
+    lookahead,
     random_table_model,
     reference_eval_lookahead,
 )
@@ -69,7 +69,7 @@ def test_eval_lookahead_bit_exact_against_reference():
             for d in (0, 1, 2, 3):
                 f_max = random_f_max(h, rng)
                 got_scorer, want_scorer = CountingScorer(model), CountingScorer(model)
-                got = eval_lookahead(got_scorer, "", h, d, f_max)
+                got = lookahead(got_scorer, "", h, d, f_max)
                 want = reference_eval_lookahead(want_scorer, "", h, d, f_max)
                 assert got.hex() == want.hex(), (seed, h.tokens, d, f_max)
                 assert got_scorer.calls == want_scorer.calls, (seed, h.tokens, d, f_max)
@@ -151,7 +151,7 @@ def test_scores_that_round_together_follow_token_order():
     assert row[b] > row[a] and h.cum_logprob + row[a] == h.cum_logprob + row[b]
     for d in (1, 2, 3):
         got, want = CountingScorer(PrefixRecorder(model)), CountingScorer(PrefixRecorder(model))
-        assert (eval_lookahead(got, "", h, d).hex()
+        assert (lookahead(got, "", h, d).hex()
                 == reference_eval_lookahead(want, "", h, d).hex())
         assert got.inner.asked == want.inner.asked, d
         assert got.calls == want.calls
@@ -255,7 +255,7 @@ def test_positive_row_rejected_by_lookahead(d):
     scorer = PositiveRow()
     h = Hypothesis.initial(scorer.vocabulary)
     with pytest.raises(ValueError, match="must be <= 0"):
-        eval_lookahead(scorer, "", h, d)
+        lookahead(scorer, "", h, d)
     with pytest.raises(ValueError, match="must be <= 0"):
         reference_eval_lookahead(scorer, "", h, d)
 

@@ -23,7 +23,6 @@ from seqdec.core import (  # noqa: E402
 from seqdec.decode import (  # noqa: E402
     _ranked,
     beam_decode,
-    eval_lookahead,
     exhaustive_decode,
     lbs_decode,
 )
@@ -34,6 +33,7 @@ from seqdec.scorers import CountingScorer, NgramModel, TableModel  # noqa: E402
 from conftest import (  # noqa: E402
     PrefixRecorder,
     assert_lhbs_steps_match_reference,
+    lookahead,
     reference_eval_lookahead,
     uniform_model,
 )
@@ -57,11 +57,12 @@ def words_of(vocab: Vocabulary) -> list[str]:
 
 def assert_row_is(row, want: dict, vocab: Vocabulary) -> None:
     """``row`` spans the vocabulary, holds ``want`` bit for bit at every
-    extension id and -inf at BOS, and ``dict(row)`` is ``want``."""
+    extension id and -inf at BOS, and its extension values are ``want``'s,
+    in extension-id order."""
     ext = vocab.extension_ids
     assert len(row) == len(vocab.tokens) and row[vocab.bos_id] == NEG_INF
     assert [row[tid].hex() for tid in ext] == [want[tid].hex() for tid in ext]
-    assert list(dict(row).items()) == list(want.items())
+    assert list(zip(ext, vocab.extension_values(row))) == list(want.items())
 
 
 # ------------------------------------------------------------ n-gram rows
@@ -210,7 +211,7 @@ def test_lookahead_equals_the_reference(model, d, data):
     f_max = data.draw(st.one_of(st.just(NEG_INF), st.just(h.cum_logprob),
                                 st.floats(0.0, 4.0).map(lambda x: h.cum_logprob - x)))
     got, want = CountingScorer(PrefixRecorder(model)), CountingScorer(PrefixRecorder(model))
-    assert (eval_lookahead(got, "", h, d, f_max).hex()
+    assert (lookahead(got, "", h, d, f_max).hex()
             == reference_eval_lookahead(want, "", h, d, f_max).hex())
     assert got.inner.asked == want.inner.asked
     assert got.calls == want.calls
@@ -261,7 +262,7 @@ def test_rows_are_read_only_and_shared(model, data, value):
     vocab = model.vocabulary
     prefix = (vocab.bos_id, *data.draw(st.lists(st.sampled_from(vocab.core_ids), max_size=3)))
     row = model.next_logprobs("", prefix)
-    before = dict(row)
+    before = vocab.extension_values(row)
     tid = data.draw(st.sampled_from(vocab.extension_ids))
     with pytest.raises(TypeError):
         row[tid] = value
@@ -270,7 +271,7 @@ def test_rows_are_read_only_and_shared(model, data, value):
     copy = dict(row)
     copy[tid] = value
     again = model.next_logprobs("", prefix)
-    assert again is row and dict(again) == before
+    assert again is row and vocab.extension_values(again) == before
 
 
 # ------------------------------------------------------------ wire rows

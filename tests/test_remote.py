@@ -63,7 +63,7 @@ class TestRemoteScorer:
     def test_connect_failure_is_transport_error(self):
         model = make_tiny3()
         with pytest.raises(ScorerTransportError):
-            RemoteScorer(model.vocabulary, "127.0.0.1", 1, timeout=0.2)
+            RemoteScorer(model.vocabulary, "127.0.0.1", 1)
 
 
 def _serve_once(handle):
@@ -278,7 +278,8 @@ class TestProtocolValidation:
         client = RemoteScorer(self.model.vocabulary, host, port)
         row = client.next_logprobs("", (0,))
         client.close()
-        assert dict(row) == {1: 0.0, 2: NEG_INF, 3: NEG_INF} and type(row[1]) is float
+        assert self.model.vocabulary.extension_values(row) == (0.0, NEG_INF, NEG_INF)
+        assert type(row[1]) is float
 
 
 class TestServerErrorReplies:
@@ -413,7 +414,7 @@ class TestStrictJson:
         client = RemoteScorer(self.VOCAB, host, port)
         try:
             row = client.next_logprobs("", (0,))
-            assert dict(row) == {1: math.log(0.75), 2: NEG_INF, 3: math.log(0.25)}
+            assert self.VOCAB.extension_values(row) == (math.log(0.75), NEG_INF, math.log(0.25))
             assert row[0] == NEG_INF  # the BOS slot
         finally:
             client.close()
@@ -624,7 +625,7 @@ class TestReplyLimit:
             release.wait(10.0)  # hold the connection open
 
         model = make_tiny3()
-        client = RemoteScorer(model.vocabulary, *_serve_once(handle), timeout=5.0)
+        client = RemoteScorer(model.vocabulary, *_serve_once(handle))
         try:
             t0 = time.monotonic()
             with pytest.raises(ScorerTransportError) as info:
@@ -651,7 +652,8 @@ class TestReplyLimit:
         client = RemoteScorer(model.vocabulary, *_one_shot_server(reply))
         try:
             rows = client.next_logprobs_batch("", [(0,)] * 200)
-            assert [tuple(row.values()) for row in rows] == [(longest, 0.0, longest)] * 200
+            values = [model.vocabulary.extension_values(row) for row in rows]
+            assert values == [(longest, 0.0, longest)] * 200
         finally:
             client.close()
 
@@ -660,7 +662,8 @@ def _reference_reply(req_id, items) -> bytes:
     """The reply as the whole object dumped at once; each item is a row
     or a row number."""
     return json.dumps({"id": req_id, "rows": [
-        item if isinstance(item, int) else [None if lp == NEG_INF else lp for lp in item.values()]
+        item if isinstance(item, int) else
+        [None if lp == NEG_INF else lp for lp in item.vocabulary.extension_values(item)]
         for item in items]}, allow_nan=False).encode() + b"\n"
 
 
@@ -680,7 +683,8 @@ class TestReplyBytes:
             self.vocabulary = model.vocabulary
 
         def next_logprobs(self, context, prefix):
-            return dict(self.model.next_logprobs(context, prefix))
+            row = self.model.next_logprobs(context, prefix)
+            return dict(zip(self.vocabulary.extension_ids, self.vocabulary.extension_values(row)))
 
     @pytest.mark.parametrize("prefixes", [[["<s>"], ["<s>", "a"], ["<s>"]], [["<s>", "a"]], []])
     @pytest.mark.parametrize("req_id", [7, "s\u00e9", None, 2.5], ids=["int", "str", "null", "float"])
