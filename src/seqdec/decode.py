@@ -89,7 +89,7 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
             prev, beam = beam, step(beam, k)
             # children outgrow prev: a beam that steps to itself is all complete
             if len(beam) == len(prev) and all(map(is_, beam, prev)):
-                counted.calls += len(beam) * steps_left
+                counted.charge(len(beam) * steps_left)
                 break
         finished = sorted(h for h in beam if h[1][-1] == eos)
     else:
@@ -134,11 +134,11 @@ def _ranked(counted: CountingScorer, context: str,
     beam = sorted(beam, key=itemgetter(1))
     prefixes = [h[1] for h in beam if h[1][-1] != eos]
     rows = iter(counted.next_logprobs_batch(context, prefixes) if prefixes else ())
+    counted.charge(len(beam) - len(prefixes))
     heap = []
     for h in beam:
         neg, tokens, _ = h
         if tokens[-1] == eos:
-            counted.charge()
             heap.append((neg, tokens, eos, None, h, None))
             continue
         row = next(rows)

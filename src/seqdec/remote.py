@@ -67,7 +67,7 @@ _REPLY_BYTES_PER_VALUE = 32
 _REPLY_BYTES_PER_REQUEST_BYTE = 8
 _REPLY_SLACK_BYTES = 1024
 
-#: Seconds the client waits to connect, and for each send or reply read.
+#: Seconds the client waits to connect, for each send and for each socket read (not per reply).
 _TIMEOUT_S = 10.0
 
 
@@ -234,7 +234,7 @@ def _finite_float(text: str) -> float:
 
 
 def _prefix(token_ids: dict[str, int], prefix) -> tuple[int, ...]:
-    if not isinstance(prefix, list):
+    if type(prefix) is not list:
         raise TypeError("a prefix must be a list of token strings")
     try:
         return tuple(map(token_ids.__getitem__, prefix))
@@ -275,14 +275,7 @@ def _respond(counted: CountingScorer, numbers: dict[int, tuple[str, Row]],
             raise TypeError("prefixes must be a list of prefixes")
         if len(items) > MAX_REQUEST_PREFIXES:
             raise ValueError(f"more than {MAX_REQUEST_PREFIXES} prefixes in one request")
-        token_id = vocabulary.token_ids.__getitem__
-        try:
-            # a string or an object would map one key at a time, so it is dropped
-            prefixes = [tuple(map(token_id, p)) for p in items if type(p) is list]
-        except (KeyError, TypeError):
-            prefixes = []
-        if len(prefixes) != len(items):  # _prefix raises the error that names it
-            prefixes = [_prefix(vocabulary.token_ids, p) for p in items]
+        prefixes = [_prefix(vocabulary.token_ids, p) for p in items]
         n_ext, new, texts = len(vocabulary.extension_ids), {}, []
         for row in counted.next_logprobs_batch(context, prefixes):
             known = numbers.get(id(row)) or new.get(id(row))
@@ -298,7 +291,8 @@ def _respond(counted: CountingScorer, numbers: dict[int, tuple[str, Row]],
         # request parser has refused NaN and Infinity
         response = '{"id": %s, "rows": [%s]}\n' % (
             str(req_id) if type(req_id) is int else json.dumps(req_id), ", ".join(texts))
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    # RecursionError: a line nested too deeply to parse
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         return _error_reply(req_id, f"{type(exc).__name__}: {exc}")
     numbers.update(new)
     return response.encode()

@@ -76,6 +76,10 @@ class TableModel:
 
     def __init__(self, vocabulary: Vocabulary, rows: dict[str, dict[str, float]],
                  default_row: dict[str, float]):
+        if not (isinstance(rows, dict) and all(map(_is_probs, rows.values()))
+                and _is_probs(default_row)):
+            raise ValueError("'rows' must map prefixes to rows, and each row and "
+                             "'default' must map tokens to numbers")
         self.vocabulary = vocabulary
         for key, row in list(rows.items()) + [("<default>", default_row)]:
             # a NaN fails both tests; the first compares an int of any size exactly
@@ -118,20 +122,15 @@ class TableModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TableModel":
-        vocab = _vocabulary(obj)
-        rows, default = obj["rows"], obj["default"]
-        if not (isinstance(rows, dict) and all(map(_is_probs, rows.values()))
-                and _is_probs(default)):
-            raise ValueError("'rows' must map prefixes to rows, and each row and "
-                             "'default' must map tokens to numbers")
-        return cls(vocab, rows, default)
+        return cls(_vocabulary(obj), obj["rows"], obj["default"])
 
 
 def _check_order_alpha(order: int, alpha: float) -> None:
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if not 0.0 < alpha < math.inf:  # also rejects NaN
-        raise ValueError("alpha must be finite and > 0")
+    # exact types: a JSON boolean is not a number
+    if type(order) is not int or order < 1:
+        raise ValueError("'order' must be an integer >= 1")
+    if type(alpha) not in (int, float) or not 0.0 < alpha < math.inf:  # also rejects NaN
+        raise ValueError("'alpha' must be a finite number > 0")
 
 
 class NgramModel:
@@ -227,11 +226,7 @@ class NgramModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NgramModel":
-        vocab = _vocabulary(obj)
-        order, alpha = obj["order"], obj["alpha"]
-        if type(order) is not int or type(alpha) not in (int, float):
-            raise ValueError("'order' must be an integer and 'alpha' a number")
-        return cls(vocab, order, alpha, obj["counts"])
+        return cls(_vocabulary(obj), obj["order"], obj["alpha"], obj["counts"])
 
 
 def train_ngram(corpus: Iterable[str], order: int, alpha: float) -> NgramModel:
@@ -265,7 +260,8 @@ def train_ngram(corpus: Iterable[str], order: int, alpha: float) -> NgramModel:
 class CountingScorer:
     """Transparent wrapper counting logical scorer calls: every
     next_logprobs invocation, one per prefix of every
-    ``next_logprobs_batch`` invocation, plus every ``charge()``.
+    ``next_logprobs_batch`` invocation, plus n per ``charge(n)``. It is
+    the only writer of ``calls``.
 
     It is also the gate for rows: a ``Row`` passes as it is, any other row
     is checked into one by ``Row.of``. Each decode builds its own
@@ -300,10 +296,10 @@ class CountingScorer:
             raise ValueError(f"batch returned {len(rows)} rows for {len(prefixes)} prefixes")
         return [row if type(row) is Row else self._row(row) for row in rows]
 
-    def charge(self) -> None:
-        """Count one call without asking the wrapped scorer, for a row the
-        caller would discard (a finished raw-mode beam slot)."""
-        self.calls += 1
+    def charge(self, n: int) -> None:
+        """Count n calls without asking the wrapped scorer, for rows the
+        caller would discard (finished raw-mode beam slots)."""
+        self.calls += n
 
 
 def _load_object(path: str) -> dict:

@@ -183,7 +183,7 @@ def lhbs_reference_decode(scorer, context: str, k: int, n_max: int, mode: str):
             if i < len(prev):
                 h = prev[i]
                 if h.complete:
-                    counted.charge()
+                    counted.charge(1)
                     pool.append(h)
                 else:
                     row = counted.next_logprobs(context, h.tokens)

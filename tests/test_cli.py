@@ -194,6 +194,14 @@ class TestCompareCommand:
                    "--output", str(tmp / "r.csv")])
         assert rc == 2
 
+    def test_empty_runs_exits_2(self, tiny3_files, capsys):
+        tmp, model, corpus = tiny3_files
+        rc = main(["compare", "--runs", ",", "--ks", "2",
+                   "--model", model, "--input", corpus, "--output", str(tmp / "r.csv")])
+        assert rc == 2
+        assert "empty --runs specification" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
     def test_empty_corpus(self, tiny3_files, tmp_path):
         tmp, model, _ = tiny3_files
         empty = tmp_path / "empty.jsonl"
@@ -287,7 +295,10 @@ def test_model_key_that_collides_or_cannot_be_reached_exits_2(tmp_path, capsys, 
      "'vocab' must be a list of token strings"),
     ("table", {"vocab": ["<s>", 1, "</s>"], "rows": {}, "default": {"a": 1.0}},
      "'vocab' must be a list of token strings"),
-], ids=["model-list", "vocabulary-list", "rows-list", "vocab-number", "vocab-non-string"])
+    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": "2", "alpha": 0.5, "counts": {}},
+     "'order' must be an integer >= 1"),
+], ids=["model-list", "vocabulary-list", "rows-list", "vocab-number", "vocab-non-string",
+        "order-string"])
 def test_model_file_of_the_wrong_shape_exits_2(tmp_path, capsys, scorer, obj, message):
     # valid JSON that is not a model raised TypeError or AttributeError (exit 1)
     model = tmp_path / "model.json"
@@ -409,6 +420,20 @@ class TestTrainCommand:
         rc = main(["train", "--input", str(corpus),
                    "--output", str(tmp_path / "m.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text,flags,message", [
+        ("a b\n", ["--order", "0"], "'order' must be an integer >= 1"),
+        ("a <s> b\n", [], "must not contain the BOS/EOS markers"),
+        ("a b </s>\n", [], "must not contain the BOS/EOS markers"),
+    ], ids=["order-0", "bos-in-corpus", "eos-in-corpus"])
+    def test_bad_order_or_corpus_exits_2(self, tmp_path, capsys, text, flags, message):
+        corpus = tmp_path / "text.txt"
+        corpus.write_text(text)
+        out = tmp_path / "m.json"
+        rc = main(["train", "--input", str(corpus), "--output", str(out), *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_rejected(self, tmp_path, alpha):

@@ -105,6 +105,11 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(("x", "y"), 0, 0)
 
+    @pytest.mark.parametrize("bos,eos", [(2, 1), (0, 2), (-1, 1), (0, -1)])
+    def test_rejects_bos_or_eos_out_of_range(self, bos, eos):
+        with pytest.raises(ValueError, match="out of range"):
+            Vocabulary(("x", "y"), bos, eos)
+
     def test_rejects_duplicate_tokens(self):
         with pytest.raises(ValueError):
             Vocabulary(("x", "x", "y"), 0, 2)

@@ -100,6 +100,11 @@ class TestBreadthFirstLookahead:
         h = Hypothesis.initial(tiny3.vocabulary)
         assert breadth_first_lookahead(tiny3, inp, h, 0) == 0.0
 
+    def test_negative_depth_refused(self, tiny3, inp):
+        h = Hypothesis.initial(tiny3.vocabulary)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            breadth_first_lookahead(tiny3, inp, h, -1)
+
     def test_complete_absorbing(self, tiny3, inp):
         vocab = tiny3.vocabulary
         done = extend(Hypothesis.initial(vocab), vocab.eos_id, math.log(0.1), vocab.eos_id)

@@ -123,7 +123,7 @@ def reference_ranked(counted: CountingScorer, context: str, beam) -> list:
     for node in beam:
         neg, tokens, _ = node
         if tokens[-1] == eos:
-            counted.charge()
+            counted.charge(1)
             entries.append(node)
             continue
         row = counted.next_logprobs(context, tokens)

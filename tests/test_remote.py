@@ -319,6 +319,8 @@ class TestServerErrorReplies:
          "ValueError: unknown token 5"),
         (b'{"id": 13, "context": "", "prefixes": [["<s>", "zz", ["a"]]]}', 13,
          "TypeError: unhashable type: 'list'"),
+        # the parser gave up with a RecursionError, and the connection closed unanswered
+        pytest.param(b"[" * 100000 + b"]" * 100000, None, "RecursionError", id="nested-json"),
     ])
     def test_error_reply_then_keeps_serving(self, served_tiny3, line, req_id, message):
         model, address = served_tiny3

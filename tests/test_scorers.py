@@ -70,6 +70,12 @@ class TestTableModel:
         b = tiny3.next_logprobs("", (0, 2))
         assert a == b
 
+    def test_load_model_refuses_an_unknown_kind(self, tiny3, tmp_path):
+        path = tmp_path / "model.json"
+        write_model(tiny3, path)
+        with pytest.raises(ValueError, match="unknown scorer kind 'bogus'"):
+            load_model("bogus", str(path))
+
     def test_json_roundtrip(self, tiny3, tmp_path):
         path = tmp_path / "model.json"
         write_model(tiny3, path)
@@ -214,6 +220,11 @@ class TestModelValidation:
         {"a": math.nan, "</s>": 0.5},
         {"a": math.nan, "</s>": 1.0},
         {"a": 1.5, "</s>": -0.5},
+        # true summed to 1 and was served as probability 1; a string or
+        # null raised TypeError
+        {"a": True},
+        {"a": "1.0"},
+        {"a": None},
     ])
     def test_table_row_with_nan_or_out_of_range_probability(self, row):
         with pytest.raises(ValueError):
@@ -221,7 +232,15 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             TableModel(self.VOCAB, {}, row)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("order", [0, 2.0, "2", True, None])
+    def test_order_must_be_an_integer_ge_1(self, order):
+        # a float order built, then failed mid-decode slicing the history
+        with pytest.raises(ValueError, match="'order' must be an integer >= 1"):
+            NgramModel(self.VOCAB, order, 0.5, {})
+        with pytest.raises(ValueError, match="'order' must be an integer >= 1"):
+            train_ngram(["a"], order=order, alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0, "0.5", True, None])
     def test_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             NgramModel(self.VOCAB, 2, alpha, {"<s>": {"a": 1}})
