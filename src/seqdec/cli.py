@@ -48,6 +48,9 @@ def _atomic_write(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seqdec-")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
+        umask = os.umask(0o022)  # os.umask reads the mask only by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0600; open(path, "w") gives this
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -87,23 +90,20 @@ def _read_corpus(path: str) -> list[DecodeInput]:
 
 
 def _open_scorer(args):
-    """The scorer named by the arguments, as a context manager that
-    closes a remote one on exit."""
-    if args.scorer != "remote":
-        if not args.model:
-            raise ValueError("--model required")
-        try:
-            return nullcontext(load_model(args.scorer, args.model))
-        except (OSError, KeyError, ValueError) as exc:
-            raise ValueError(f"cannot load model {args.model}: {exc}") from exc
-    if not args.endpoint:
-        raise ValueError("--endpoint required for remote scorer")
+    """The remote scorer at --endpoint, with --model as its vocabulary
+    file, or without --endpoint the model saved at --model; as a context
+    manager that closes a remote one on exit."""
+    remote = args.endpoint is not None
     if not args.model:
-        raise ValueError("--model (vocabulary file) required for remote scorer")
+        raise ValueError("--model (vocabulary file) required for remote scorer" if remote
+                         else "--model required")
     try:
-        vocab = load_vocabulary(args.model)
+        loaded = load_vocabulary(args.model) if remote else load_model(args.model)
     except (OSError, KeyError, ValueError) as exc:
-        raise ValueError(f"cannot load vocabulary from {args.model}: {exc}") from exc
+        what = "vocabulary from" if remote else "model"
+        raise ValueError(f"cannot load {what} {args.model}: {exc}") from exc
+    if not remote:
+        return nullcontext(loaded)
     host, _, port = args.endpoint.rpartition(":")
     try:
         number = int(port)
@@ -111,7 +111,7 @@ def _open_scorer(args):
         number = 0
     if not 1 <= number <= 65535:  # the resolver would wrap it modulo 65536
         raise ValueError(f"--endpoint {args.endpoint}: the port must be 1 to 65535")
-    return closing(RemoteScorer(vocab, host, number))
+    return closing(RemoteScorer(loaded, host, number))
 
 
 def _json_float(x: float):
@@ -208,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--scorer", choices=["table", "ngram", "remote"], default="table")
-        p.add_argument("--model", help="model JSON path (vocabulary file for remote)")
-        p.add_argument("--endpoint", help="host:port of a remote scorer")
+        p.add_argument("--model", help="model JSON path (vocabulary file with --endpoint)")
+        p.add_argument("--endpoint", help="host:port of a remote scorer to use")
         p.add_argument("--input", required=True, help="JSONL corpus path")
         p.add_argument("--output", required=True, help="output path")
         p.add_argument("--max-len", dest="max_len", type=int, default=32)

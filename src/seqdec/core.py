@@ -63,13 +63,15 @@ class Vocabulary:
         n = len(self.tokens)
         if not (0 <= self.bos_id < n and 0 <= self.eos_id < n):
             raise ValueError("BOS/EOS ids out of range")
+        for t in self.tokens:
+            if type(t) is not str:
+                raise ValueError(f"token {t!r} is not a string")
+            # model files join tokens with spaces, so a token holding
+            # whitespace would read as several tokens
+            if t.split() != [t]:
+                raise ValueError(f"token {t!r} is empty or contains whitespace")
         if len(set(self.tokens)) != n:
             raise ValueError("token strings must be unique")
-        # model files join tokens with spaces, so a token holding whitespace
-        # would read as several tokens
-        bad = [t for t in self.tokens if t.split() != [t]]
-        if bad:
-            raise ValueError(f"token {bad[0]!r} is empty or contains whitespace")
         object.__setattr__(self, "token_ids", {t: i for i, t in enumerate(self.tokens)})
         ext = tuple(i for i in range(n) if i != self.bos_id)
         object.__setattr__(self, "extension_ids", ext)
@@ -79,6 +81,9 @@ class Vocabulary:
     def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
         """The vocabulary of ``tokens``, with ``<s>`` as BOS and ``</s>`` as EOS."""
         toks = tuple(tokens)
+        for marker in ("<s>", "</s>"):
+            if marker not in toks:
+                raise ValueError(f"the tokens hold no {marker!r} marker")
         return cls(toks, toks.index("<s>"), toks.index("</s>"))
 
     def extension_values(self, row: tuple[float, ...]) -> tuple[float, ...]:

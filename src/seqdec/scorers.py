@@ -56,7 +56,7 @@ def _check_extension_tokens(vocab: Vocabulary, what: str, tokens: Iterable[str])
 
 def _vocabulary(obj: dict) -> Vocabulary:
     tokens = obj["vocab"]
-    if not isinstance(tokens, list) or not all(type(t) is str for t in tokens):
+    if not isinstance(tokens, list):  # a string or an object would iterate as tokens
         raise ValueError("'vocab' must be a list of token strings")
     return Vocabulary.from_tokens(tokens)
 
@@ -119,10 +119,6 @@ class TableModel:
             "rows": self.rows,
             "default": self.default_row,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TableModel":
-        return cls(_vocabulary(obj), obj["rows"], obj["default"])
 
 
 def _check_order_alpha(order: int, alpha: float) -> None:
@@ -224,10 +220,6 @@ class NgramModel:
             "counts": self.counts,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "NgramModel":
-        return cls(_vocabulary(obj), obj["order"], obj["alpha"], obj["counts"])
-
 
 def train_ngram(corpus: Iterable[str], order: int, alpha: float) -> NgramModel:
     """Count-based training over whitespace-tokenized lines.
@@ -310,13 +302,15 @@ def _load_object(path: str) -> dict:
     return obj
 
 
-def load_model(kind: str, path: str) -> TableModel | NgramModel:
-    """The ``"table"`` or ``"ngram"`` model saved at ``path`` as its ``to_json()``.
-    A file of the wrong shape raises ``ValueError`` or ``KeyError``."""
-    if kind not in ("table", "ngram"):
-        raise ValueError(f"unknown scorer kind {kind!r}")
+def load_model(path: str) -> TableModel | NgramModel:
+    """The model saved at ``path`` as its ``to_json()``: an ``NgramModel``
+    when the object has ``"counts"``, else a ``TableModel``. A file of the
+    wrong shape raises ``ValueError`` or ``KeyError``."""
     obj = _load_object(path)
-    return TableModel.from_json(obj) if kind == "table" else NgramModel.from_json(obj)
+    vocab = _vocabulary(obj)
+    if "counts" in obj:
+        return NgramModel(vocab, obj["order"], obj["alpha"], obj["counts"])
+    return TableModel(vocab, obj["rows"], obj["default"])
 
 
 def load_vocabulary(path: str) -> Vocabulary:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from seqdec.core import Vocabulary
 from seqdec.remote import RemoteScorer, ScorerServer
 from seqdec.scorers import TableModel
 
-from conftest import make_tiny3, write_model
+from conftest import make_tiny3, random_table_model, write_model
 
 
 @pytest.fixture
@@ -90,23 +91,38 @@ class TestDecodeCommand:
         assert out.read_bytes() == b""  # not one blank JSONL line
 
     @pytest.mark.parametrize("given,message", [
-        (["--model", "vocab.json"], "--endpoint required for remote scorer"),
+        (["--model", "{vocab}"], "cannot load model {vocab}: 'rows'"),
         (["--endpoint", "127.0.0.1:1"], "--model (vocabulary file) required for remote scorer"),
     ], ids=["no-endpoint", "no-model"])
     def test_remote_scorer_without_endpoint_or_model_exits_2(self, tiny3_files, capsys,
                                                              given, message):
+        # without --endpoint a vocabulary file is read as a model, and it
+        # names no rows
         tmp, _, corpus = tiny3_files
-        rc = main(["decode", "--strategy", "beam", "--scorer", "remote", *given,
+        vocab = tmp / "vocab.json"
+        vocab.write_text('{"vocab": ["<s>", "a", "b", "</s>"]}')
+        rc = main(["decode", "--strategy", "beam", *[g.format(vocab=vocab) for g in given],
                    "--input", corpus, "--output", str(tmp / "o.jsonl")])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(vocab=vocab)}\n"
 
-    def test_remote_transport_failure(self, tiny3_files):
+    def test_remote_transport_failure(self, tiny3_files, capsys):
+        # --endpoint alone picks the remote scorer, though the file is a
+        # whole model: nothing listens, so it is not decoded in process
         tmp, model, corpus = tiny3_files
-        rc = main(["decode", "--strategy", "beam", "--scorer", "remote",
-                   "--model", model, "--endpoint", "127.0.0.1:1",
+        rc = main(["decode", "--strategy", "beam", "--model", model, "--endpoint", "127.0.0.1:1",
                    "--input", corpus, "--output", str(tmp / "o.jsonl")])
         assert rc == 3
+        assert capsys.readouterr().err.startswith("transport error: ")
+        assert not (tmp / "o.jsonl").exists()
+
+    def test_scorer_option_is_gone(self, tiny3_files, capsys):
+        tmp, model, corpus = tiny3_files
+        rc = main(["decode", "--strategy", "beam", "--scorer", "ngram", "--model", model,
+                   "--input", corpus, "--output", str(tmp / "o.jsonl")])
+        assert rc == 2
+        assert "unrecognized arguments: --scorer ngram" in capsys.readouterr().err
+        assert not (tmp / "o.jsonl").exists()
 
     @pytest.mark.parametrize("port", ["0", "-1", "65536", "65537", "x", ""])
     def test_endpoint_port_out_of_range_exits_2(self, tiny3_files, capsys, port):
@@ -115,8 +131,7 @@ class TestDecodeCommand:
         # failure (exit 3); no connection is tried
         tmp, model, corpus = tiny3_files
         endpoint = f"127.0.0.1:{port}"
-        rc = main(["decode", "--strategy", "beam", "--scorer", "remote",
-                   "--model", model, "--endpoint", endpoint,
+        rc = main(["decode", "--strategy", "beam", "--model", model, "--endpoint", endpoint,
                    "--input", corpus, "--output", str(tmp / "o.jsonl")])
         assert rc == 2
         assert f"--endpoint {endpoint}: the port must be 1 to 65535" in capsys.readouterr().err
@@ -133,6 +148,7 @@ def _digest(text):
 
 
 DECODE_DIGEST = "43d5594f76b64133d81da20ad1850cafb4b73d4c63597a5707e976eb8a14329e"
+TABLE_DECODE_DIGEST = "a912eb52fd6d0b9a354ea006c90e0c4693e7df956ce998ddf27fbaad4556c287"
 COMPARE_DIGEST = "8933dfecf1a88c1e07ea9b8d6730b993f96b8f817e4562920991221a4a0df27a"
 
 
@@ -146,15 +162,18 @@ def bigram_files(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(json.dumps({"id": f"s{i}", "context": c}) + "\n"
                               for i, c in enumerate(contexts)))
-    return tmp_path, ["--scorer", "ngram", "--model", model, "--input", str(corpus)]
+    return tmp_path, ["--model", model, "--input", str(corpus)]
 
 
 class TestGoldenOutputs:
     """The CLI's outputs, pinned by digest, so a refactor that changes
-    any record or report shows here."""
+    any record or report shows here. No option names the model's kind:
+    the file does."""
 
-    def test_decode_records(self, bigram_files):
-        tmp, common = bigram_files
+    @staticmethod
+    def decode_all(tmp, common):
+        """Every strategy x mode's records, wall times dropped, one JSON
+        line each."""
         out = str(tmp / "out.jsonl")
         lines = []
         for strategy in ("greedy", "beam", "lbs", "lhbs", "exhaustive"):
@@ -164,8 +183,22 @@ class TestGoldenOutputs:
                 for record in read_jsonl(out):
                     del record["wall_time_ms"]
                     lines.append(json.dumps(record))
+        return lines
+
+    def test_decode_records(self, bigram_files):
+        tmp, common = bigram_files
+        lines = self.decode_all(tmp, common)
         assert len(lines) == 320
         assert _digest("\n".join(lines)) == DECODE_DIGEST
+
+    def test_table_decode_records(self, bigram_files):
+        tmp, common = bigram_files
+        model = tmp / "table.json"
+        write_model(random_table_model(7, 4, 3), model)
+        common[common.index("--model") + 1] = str(model)
+        lines = self.decode_all(tmp, common)
+        assert len(lines) == 320
+        assert _digest("\n".join(lines)) == TABLE_DECODE_DIGEST
 
     def test_compare_report(self, bigram_files):
         tmp, common = bigram_files
@@ -212,66 +245,64 @@ class TestCompareCommand:
         assert rc == 2
 
 
-@pytest.mark.parametrize("scorer,obj", [
-    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": {},
-               "default": {"a": 0.5, "typo": 0.5}}),
-    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
-               "counts": {"<s>": {"a": 1, "zz": 5}}}),
-])
-def test_model_naming_a_token_outside_the_vocabulary_exits_2(tmp_path, capsys, scorer, obj):
+@pytest.mark.parametrize("obj", [
+    {"vocab": ["<s>", "a", "</s>"], "rows": {}, "default": {"a": 0.5, "typo": 0.5}},
+    {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+     "counts": {"<s>": {"a": 1, "zz": 5}}},
+], ids=["table-obj0", "ngram-obj1"])
+def test_model_naming_a_token_outside_the_vocabulary_exits_2(tmp_path, capsys, obj):
     # such a model would serve rows that do not sum to 1
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "s1", "context": ""}\n')
     out = tmp_path / "out.jsonl"
-    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3", "--scorer", scorer,
+    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3",
                "--model", str(model), "--input", str(corpus), "--output", str(out)])
     assert rc == 2
     assert "not an extension token" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scorer,obj", [
-    ("table", {"vocab": ["<s>", "a b", "a", "b", "</s>"], "rows": {"a b": {"</s>": 1.0}},
-               "default": {"a b": 0.25, "a": 0.25, "b": 0.25, "</s>": 0.25}}),
-    ("ngram", {"vocab": ["<s>", "a b", "a", "b", "</s>"], "order": 2, "alpha": 0.5,
-               "counts": {"<s>": {"a b": 1}}}),
-])
-def test_model_with_whitespace_in_a_token_exits_2(tmp_path, capsys, scorer, obj):
+@pytest.mark.parametrize("obj", [
+    {"vocab": ["<s>", "a b", "a", "b", "</s>"], "rows": {"a b": {"</s>": 1.0}},
+     "default": {"a b": 0.25, "a": 0.25, "b": 0.25, "</s>": 0.25}},
+    {"vocab": ["<s>", "a b", "a", "b", "</s>"], "order": 2, "alpha": 0.5,
+     "counts": {"<s>": {"a b": 1}}},
+], ids=["table-obj0", "ngram-obj1"])
+def test_model_with_whitespace_in_a_token_exits_2(tmp_path, capsys, obj):
     # a space-joined key could not tell the token "a b" from [a, b]
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "s1", "context": ""}\n')
     out = tmp_path / "out.jsonl"
-    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3", "--scorer", scorer,
+    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3",
                "--model", str(model), "--input", str(corpus), "--output", str(out)])
     assert rc == 2
     assert "whitespace" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scorer,obj,message", [
-    ("table", {"vocab": ["<s>", "a", "b", "</s>"], "rows": {"a b": {"a": 1.0}, "a  b": {"b": 1.0}},
-               "default": {"</s>": 1.0}}, "row keys 'a b' and 'a  b' name the same prefix"),
-    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
-               "counts": {"a": {"a": 1}, " a": {"</s>": 1}}},
+@pytest.mark.parametrize("obj,message", [
+    ({"vocab": ["<s>", "a", "b", "</s>"], "rows": {"a b": {"a": 1.0}, "a  b": {"b": 1.0}},
+      "default": {"</s>": 1.0}}, "row keys 'a b' and 'a  b' name the same prefix"),
+    ({"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+      "counts": {"a": {"a": 1}, " a": {"</s>": 1}}},
      "histories 'a' and ' a' name the same tokens"),
-    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
-               "counts": {"<s> a": {"a": 1}}}, "history '<s> a' must hold order - 1 = 1 words"),
-    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 1, "alpha": 0.5,
-               "counts": {"a": {"a": 1}}}, "history 'a' must hold order - 1 = 0 words"),
-    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": {"<s>": {"a": 1.0}},
-               "default": {"</s>": 1.0}},
+    ({"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+      "counts": {"<s> a": {"a": 1}}}, "history '<s> a' must hold order - 1 = 1 words"),
+    ({"vocab": ["<s>", "a", "</s>"], "order": 1, "alpha": 0.5,
+      "counts": {"a": {"a": 1}}}, "history 'a' must hold order - 1 = 0 words"),
+    ({"vocab": ["<s>", "a", "</s>"], "rows": {"<s>": {"a": 1.0}},
+      "default": {"</s>": 1.0}},
      "row key '<s>' names BOS or holds EOS before its end, so no prefix reaches it"),
-    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": {"</s> a": {"a": 1.0}},
-               "default": {"</s>": 1.0}},
+    ({"vocab": ["<s>", "a", "</s>"], "rows": {"</s> a": {"a": 1.0}},
+      "default": {"</s>": 1.0}},
      "row key '</s> a' names BOS or holds EOS before its end, so no prefix reaches it"),
 ], ids=["table-keys", "ngram-histories", "ngram-long-history", "unigram-history",
         "table-bos-key", "table-interior-eos-key"])
-def test_model_key_that_collides_or_cannot_be_reached_exits_2(tmp_path, capsys, scorer, obj,
-                                                               message):
+def test_model_key_that_collides_or_cannot_be_reached_exits_2(tmp_path, capsys, obj, message):
     # one of two colliding keys was silently dropped, and a history of the
     # wrong length could never be looked up
     model = tmp_path / "model.json"
@@ -279,54 +310,59 @@ def test_model_key_that_collides_or_cannot_be_reached_exits_2(tmp_path, capsys, 
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "s1", "context": ""}\n')
     out = tmp_path / "out.jsonl"
-    rc = main(["decode", "--strategy", "beam", "--scorer", scorer, "--model", str(model),
+    rc = main(["decode", "--strategy", "beam", "--model", str(model),
                "--input", str(corpus), "--output", str(out)])
     assert rc == 2
     assert f"cannot load model {model}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scorer,obj,message", [
-    ("ngram", [1], "cannot load model .*: the file does not hold a JSON object"),
-    ("remote", [1], "cannot load vocabulary from .*: the file does not hold a JSON object"),
-    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": [], "default": {"a": 1.0}},
+@pytest.mark.parametrize("remote,obj,message", [
+    ([], [1], "cannot load model .*: the file does not hold a JSON object"),
+    (["--endpoint", "127.0.0.1:1"], [1],
+     "cannot load vocabulary from .*: the file does not hold a JSON object"),
+    ([], {"vocab": ["<s>", "a", "</s>"], "rows": [], "default": {"a": 1.0}},
      "'rows' must map prefixes to rows"),
-    ("table", {"vocab": 5, "rows": {}, "default": {"a": 1.0}},
+    ([], {"vocab": 5, "rows": {}, "default": {"a": 1.0}},
      "'vocab' must be a list of token strings"),
-    ("table", {"vocab": ["<s>", 1, "</s>"], "rows": {}, "default": {"a": 1.0}},
-     "'vocab' must be a list of token strings"),
-    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": "2", "alpha": 0.5, "counts": {}},
+    ([], {"vocab": ["<s>", 1, "</s>"], "rows": {}, "default": {"a": 1.0}},
+     "cannot load model .*: token 1 is not a string"),
+    ([], {"vocab": ["<s>", "a", "</s>"], "order": "2", "alpha": 0.5, "counts": {}},
      "'order' must be an integer >= 1"),
+    ([], {"vocab": ["a", "</s>"], "rows": {}, "default": {"a": 1.0}},
+     "cannot load model .*: the tokens hold no '<s>' marker"),
+    (["--endpoint", "127.0.0.1:1"], {"vocab": ["<s>", "a"]},
+     "cannot load vocabulary from .*: the tokens hold no '</s>' marker"),
 ], ids=["model-list", "vocabulary-list", "rows-list", "vocab-number", "vocab-non-string",
-        "order-string"])
-def test_model_file_of_the_wrong_shape_exits_2(tmp_path, capsys, scorer, obj, message):
+        "order-string", "vocab-without-bos", "vocabulary-without-eos"])
+def test_model_file_of_the_wrong_shape_exits_2(tmp_path, capsys, remote, obj, message):
     # valid JSON that is not a model raised TypeError or AttributeError (exit 1)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "s1", "context": ""}\n')
     out = tmp_path / "out.jsonl"
-    rc = main(["decode", "--strategy", "beam", "--scorer", scorer, "--model", str(model),
-               "--endpoint", "127.0.0.1:1", "--input", str(corpus), "--output", str(out)])
+    rc = main(["decode", "--strategy", "beam", "--model", str(model), *remote,
+               "--input", str(corpus), "--output", str(out)])
     assert rc == 2
     assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scorer,obj,message", [
-    ("table", {"vocab": ["<s>", "a", "</s>"], "rows": {},
-               "default": {"a": 10**400, "</s>": 0}}, "outside \\[0, 1\\]"),
-    ("ngram", {"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
-               "counts": {"<s>": {"a": 10**400}}}, "whose sum fits a float"),
+@pytest.mark.parametrize("obj,message", [
+    ({"vocab": ["<s>", "a", "</s>"], "rows": {}, "default": {"a": 10**400, "</s>": 0}},
+     "outside \\[0, 1\\]"),
+    ({"vocab": ["<s>", "a", "</s>"], "order": 2, "alpha": 0.5,
+      "counts": {"<s>": {"a": 10**400}}}, "whose sum fits a float"),
 ], ids=["table", "ngram"])
-def test_model_holding_a_huge_integer_exits_2(tmp_path, capsys, scorer, obj, message):
+def test_model_holding_a_huge_integer_exits_2(tmp_path, capsys, obj, message):
     # converting 10**400 to a float raised OverflowError (exit 1)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"id": "s1", "context": ""}\n')
     out = tmp_path / "out.jsonl"
-    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3", "--scorer", scorer,
+    rc = main(["decode", "--strategy", "beam", "--k", "2", "--max-len", "3",
                "--model", str(model), "--input", str(corpus), "--output", str(out)])
     assert rc == 2
     assert re.search("cannot load model .*" + message, capsys.readouterr().err)
@@ -384,6 +420,24 @@ def test_unwritable_output_exits_2(tiny3_files, capsys, command, target):
     # the path asked for, not the temp file's random name
     assert repr(str(out)) in err and ".seqdec-" not in err
     assert not list(tmp.rglob(".seqdec-*"))
+
+
+@pytest.mark.parametrize("command", [
+    ["decode", "--strategy", "beam"],
+    ["train"],
+], ids=["decode", "train"])
+def test_output_file_gets_the_mode_a_plain_write_gives(tiny3_files, command):
+    # the temp file renamed over the output was made 0600 whatever the umask
+    tmp, model, corpus = tiny3_files
+    source = ["--input", CORPUS_TXT] if command == ["train"] else ["--model", model,
+                                                                   "--input", corpus]
+    out = tmp / "out"
+    umask = os.umask(0o022)
+    try:
+        assert main([*command, *source, "--output", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 class TestTrainCommand:
@@ -450,10 +504,11 @@ class TestTrainCommand:
                                      "counts": {"<s>": {"a": -1, "</s>": 3}}}))
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"id": "s1", "context": ""}\n')
-        rc = main(["decode", "--strategy", "beam", "--scorer", "ngram", "--model", str(model),
+        rc = main(["decode", "--strategy", "beam", "--model", str(model),
                    "--input", str(corpus), "--output", str(tmp_path / "o.jsonl")])
         assert rc == 2
-        assert "cannot load model" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot load model" in err and "integer counts >= 0" in err
 
     def test_alpha_times_the_extension_set_overflowing_rejected(self, tmp_path, capsys):
         # alpha * 3 extension tokens is inf, so building the unseen row took
@@ -474,7 +529,7 @@ class TestTrainCommand:
                                      "counts": {"<s>": {"a": 17 * 10**307}}}))
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"id": "s1", "context": ""}\n')
-        rc = main(["decode", "--strategy", "beam", "--scorer", "ngram", "--model", str(model),
+        rc = main(["decode", "--strategy", "beam", "--model", str(model),
                    "--input", str(corpus), "--output", str(tmp_path / "o.jsonl")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -600,7 +655,7 @@ def test_server_error_reply_exits_3(tiny3_files, capsys):
     server = ScorerServer(TableModel(vocab, {}, {"a": 0.5, "b": 0.25, "</s>": 0.25})).start()
     try:
         host, port = server.address
-        rc = main(["decode", "--strategy", "beam", "--scorer", "remote", "--model", model,
+        rc = main(["decode", "--strategy", "beam", "--model", model,
                    "--endpoint", f"{host}:{port}", "--input", corpus,
                    "--output", str(tmp / "o.jsonl")])
     finally:
@@ -619,7 +674,7 @@ def test_permuted_vocabulary_file_exits_3(tiny3_files, capsys):
     server = ScorerServer(TableModel(vocab, {}, {"a": 0.5, "b": 0.25, "</s>": 0.25})).start()
     try:
         host, port = server.address
-        rc = main(["decode", "--strategy", "beam", "--scorer", "remote", "--model", model,
+        rc = main(["decode", "--strategy", "beam", "--model", model,
                    "--endpoint", f"{host}:{port}", "--input", corpus,
                    "--output", str(tmp / "o.jsonl")])
     finally:
@@ -649,8 +704,7 @@ def served(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "RemoteScorer", Recorded)
     host, port = server.address
-    remote = ["--scorer", "remote", "--endpoint", f"{host}:{port}",
-              "--model", str(vocab_path)]
+    remote = ["--endpoint", f"{host}:{port}", "--model", str(vocab_path)]
     yield tmp_path, remote, str(corpus_path), clients
     server.shutdown()
     server.server_close()
@@ -695,3 +749,24 @@ class TestRemoteScorerClosed:
                    "--input", corpus, "--output", str(tmp / "r.csv")])
         assert rc == 2  # no beam baseline
         self.assert_closed(clients)
+
+
+@pytest.mark.parametrize("command", [
+    ["decode", "--strategy", "lbs", "--k", "2", "--d", "1"],
+    ["compare", "--runs", "beam,lbs:1,lhbs", "--ks", "1,2"],
+], ids=["decode", "compare"])
+def test_endpoint_alone_writes_the_in_process_records(served, command):
+    tmp, remote, corpus, clients = served
+    local = ["--model", remote[remote.index("--model") + 1]]
+    outputs = []
+    for scorer in (remote, local):
+        out = tmp / "out"
+        assert main([*command, "--max-len", "3", *scorer, "--input", corpus,
+                     "--output", str(out)]) == 0
+        text = out.read_text()
+        if command[0] == "decode":
+            text = [{k: v for k, v in json.loads(line).items() if k != "wall_time_ms"}
+                    for line in text.splitlines()]
+        outputs.append(text)
+    assert len(clients) == 1  # the remote run went over the wire
+    assert outputs[0] == outputs[1]

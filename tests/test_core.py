@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -113,6 +114,20 @@ class TestVocabulary:
     def test_rejects_duplicate_tokens(self):
         with pytest.raises(ValueError):
             Vocabulary(("x", "x", "y"), 0, 2)
+
+    @pytest.mark.parametrize("token", [1, None, ("a",), ["a"]])
+    def test_rejects_a_token_that_is_not_a_string(self, token):
+        with pytest.raises(ValueError, match=f"token {re.escape(repr(token))} is not a string"):
+            Vocabulary(("<s>", token, "</s>"), 0, 2)
+
+    @pytest.mark.parametrize("tokens,marker", [
+        (["a", "b"], "'<s>'"),
+        (["a", "</s>"], "'<s>'"),
+        (["<s>", "a"], "'</s>'"),
+    ])
+    def test_from_tokens_names_a_missing_marker(self, tokens, marker):
+        with pytest.raises(ValueError, match=f"the tokens hold no {marker} marker"):
+            Vocabulary.from_tokens(tokens)
 
     @pytest.mark.parametrize("token", ["a b", " a", "a\t", "a\nb", "a\xa0b", ""])
     def test_rejects_an_empty_token_or_whitespace_in_one(self, token):
