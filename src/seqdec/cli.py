@@ -105,6 +105,8 @@ def _open_scorer(args):
     if not remote:
         return nullcontext(loaded)
     host, _, port = args.endpoint.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):  # an IPv6 address, as [::1]:9000
+        host = host[1:-1]
     try:
         number = int(port)
     except ValueError:

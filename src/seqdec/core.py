@@ -41,15 +41,17 @@ def check_budget(n_ext: int, depth: int, budget: int) -> None:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token inventory with distinguished BOS/EOS markers.
+    """Token inventory whose ``<s>`` is BOS and ``</s>`` is EOS, wherever
+    they stand.
 
     Extension tokens (the set usable to grow a hypothesis) are every
     token except BOS; EOS is always a legal extension.
     """
 
     tokens: tuple[str, ...]
-    bos_id: int
-    eos_id: int
+    #: The ids of ``<s>`` and ``</s>``.
+    bos_id: int = field(init=False, repr=False)
+    eos_id: int = field(init=False, repr=False)
     #: Token ids legal as hypothesis extensions (everything but BOS).
     extension_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     #: Extension ids excluding EOS.
@@ -58,11 +60,7 @@ class Vocabulary:
     token_ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.bos_id == self.eos_id:
-            raise ValueError("BOS and EOS must be distinct tokens")
-        n = len(self.tokens)
-        if not (0 <= self.bos_id < n and 0 <= self.eos_id < n):
-            raise ValueError("BOS/EOS ids out of range")
+        object.__setattr__(self, "tokens", tuple(self.tokens))
         for t in self.tokens:
             if type(t) is not str:
                 raise ValueError(f"token {t!r} is not a string")
@@ -70,21 +68,16 @@ class Vocabulary:
             # whitespace would read as several tokens
             if t.split() != [t]:
                 raise ValueError(f"token {t!r} is empty or contains whitespace")
-        if len(set(self.tokens)) != n:
-            raise ValueError("token strings must be unique")
         object.__setattr__(self, "token_ids", {t: i for i, t in enumerate(self.tokens)})
-        ext = tuple(i for i in range(n) if i != self.bos_id)
+        if len(self.token_ids) != len(self.tokens):
+            raise ValueError("token strings must be unique")
+        for name, marker in (("bos_id", "<s>"), ("eos_id", "</s>")):
+            if marker not in self.token_ids:
+                raise ValueError(f"the tokens hold no {marker!r} marker")
+            object.__setattr__(self, name, self.token_ids[marker])
+        ext = tuple(i for i in range(len(self.tokens)) if i != self.bos_id)
         object.__setattr__(self, "extension_ids", ext)
         object.__setattr__(self, "core_ids", tuple(i for i in ext if i != self.eos_id))
-
-    @classmethod
-    def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
-        """The vocabulary of ``tokens``, with ``<s>`` as BOS and ``</s>`` as EOS."""
-        toks = tuple(tokens)
-        for marker in ("<s>", "</s>"):
-            if marker not in toks:
-                raise ValueError(f"the tokens hold no {marker!r} marker")
-        return cls(toks, toks.index("<s>"), toks.index("</s>"))
 
     def extension_values(self, row: tuple[float, ...]) -> tuple[float, ...]:
         """A row's values at the extension ids: every value but BOS's."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import islice
+from itertools import chain, islice
 from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -226,11 +226,8 @@ def _children(cum: float, row: Row) -> Iterator[tuple[float, int]]:
         tid = order[i]
         score = cum + row[tid]
         j = i + 1
-        while j < n and cum + row[order[j]] == score:
-            if row[order[j]] == row[order[j - 1]]:  # a run of one log-probability
-                j = bisect_right(order, -row[order[j]], j, key=lambda t: -row[t])
-            else:  # distinct values that round together
-                j += 1
+        if j < n and cum + row[order[j]] == score:  # a run of equal scores
+            j = bisect_right(order, -score, j + 1, key=lambda t: -(cum + row[t]))
         if j == i + 1:
             yield score, tid
         elif row[order[j - 1]] == row[tid]:  # one log-probability: the ranking keeps id order
@@ -285,10 +282,11 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
     influences which candidates survive. Raw mode pops one candidate per
     slot; practical mode pops two (the kernel's n over k). When the
     previous beam holds fewer hypotheses than there are slots, the extra
-    slots pop from the leftover pool alone. The slots read the step's one
-    ranking once, in canonical order, and stop when they are full: an
-    entry read before its parent's slot waits for it, and the pool is
-    read on only while it is empty, as no unread entry ranks above it.
+    slots pop the leftover pool, then the unread entries, so they cost
+    the candidates read, not k. The slots read the step's one ranking
+    once, in canonical order, and stop when they are full: an entry read
+    before its parent's slot waits for it, and the pool is read on only
+    while it is empty, as no unread entry ranks above it.
     """
     counted = CountingScorer(scorer)
 
@@ -297,10 +295,11 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
         waiting: list[list[_Entry]] = [[] for _ in beam]  # read before their slot
         pool: list[_Entry] = []  # a heap; (-score, tokens) is unique within a step
         popped: list[_Entry] = []
-        for i in range(config.beam_width):
-            for e in waiting[i] if i < len(beam) else ():
+        per = n // config.beam_width
+        for i in range(len(beam)):
+            for e in waiting[i]:
                 heappush(pool, e)
-            for _ in range(n // config.beam_width):
+            for _ in range(per):
                 if pool:
                     popped.append(heappop(pool))
                     continue
@@ -310,6 +309,7 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
                         popped.append(e)
                         break
                     waiting[j].append(e)
+        popped += islice(chain(sorted(pool), entries), (config.beam_width - len(beam)) * per)
         return popped if config.mode == "raw" else sorted(popped)
 
     return _search(counted, inp.context, config, pick)

@@ -28,6 +28,8 @@ def _expand(scorer: Scorer, context: str, tokens: tuple[int, ...],
     complete = []
     frontier = [(tokens, 0.0)]
     for _ in range(depth):
+        if not frontier:  # only EOS extends, so no sequence grows further
+            break
         next_frontier = []
         for prefix, score in frontier:
             row = scorer.next_logprobs(context, prefix)

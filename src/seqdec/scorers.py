@@ -58,7 +58,7 @@ def _vocabulary(obj: dict) -> Vocabulary:
     tokens = obj["vocab"]
     if not isinstance(tokens, list):  # a string or an object would iterate as tokens
         raise ValueError("'vocab' must be a list of token strings")
-    return Vocabulary.from_tokens(tokens)
+    return Vocabulary(tokens)
 
 
 def _is_probs(row) -> bool:
@@ -245,7 +245,7 @@ def train_ngram(corpus: Iterable[str], order: int, alpha: float) -> NgramModel:
         raise ValueError("empty corpus")
     if "<s>" in words or "</s>" in words:
         raise ValueError("corpus must not contain the BOS/EOS markers")
-    vocab = Vocabulary.from_tokens(["<s>"] + sorted(words) + ["</s>"])
+    vocab = Vocabulary(["<s>"] + sorted(words) + ["</s>"])
     return NgramModel(vocab, order, alpha, counts)
 
 

@@ -1,10 +1,14 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seqdec
 from seqdec.core import (
     NEG_INF,
     DecodeConfig,
@@ -27,7 +31,7 @@ TINY3_DEFAULT = {"a": 0.25, "b": 0.25, "</s>": 0.5}
 
 
 def make_tiny3() -> TableModel:
-    vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+    vocab = Vocabulary(["<s>", "a", "b", "</s>"])
     return TableModel(vocab, dict(TINY3_ROWS), dict(TINY3_DEFAULT))
 
 
@@ -59,7 +63,7 @@ def random_table_model(seed: int, n_ext: int, depth: int,
     tokens; n_ext counts extension tokens including EOS."""
     rng = random.Random(seed)
     letters = [chr(ord("a") + i) for i in range(n_ext - 1)]
-    vocab = Vocabulary.from_tokens(["<s>"] + letters + ["</s>"])
+    vocab = Vocabulary(["<s>"] + letters + ["</s>"])
     ext = [vocab.tokens[i] for i in vocab.extension_ids]
 
     def row():
@@ -115,7 +119,7 @@ class PrefixRecorder:
 
 def one_hot_model(token: str = "a") -> TableModel:
     """Deterministic scorer always emitting `token` with probability 1."""
-    vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+    vocab = Vocabulary(["<s>", "a", "b", "</s>"])
     row = {t: 0.0 for t in ("a", "b", "</s>")}
     row[token] = 1.0
     return TableModel(vocab, {}, row)
@@ -259,3 +263,15 @@ def reference_eval_lookahead(scorer, context: str, h, d: int, f_max: float = NEG
             break
         f_max = max(f_max, reference_eval_lookahead(scorer, context, child, d - 1, f_max))
     return f_max
+
+
+def run_in_child(code: str):
+    """The JSON that ``code`` prints, run by a fresh interpreter that
+    imports this seqdec; a run over 30 s fails the test."""
+    src = str(Path(seqdec.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)

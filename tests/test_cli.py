@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import socket
 import stat
 from pathlib import Path
 
@@ -628,7 +629,7 @@ class TestLookaheadBudgetExit:
 
     def test_lookahead_deeper_than_the_recursion_limit_exits_0(self, tmp_path, capsys):
         model = tmp_path / "m.json"
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         write_model(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}), model)
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"id": "s1", "context": ""}\n')
@@ -649,10 +650,15 @@ class TestLookaheadBudgetExit:
 
 def test_server_error_reply_exits_3(tiny3_files, capsys):
     tmp, model, corpus = tiny3_files
-    # the server's BOS is spelled differently, so it does not know the
-    # client's "<s>" and answers with an error
-    vocab = Vocabulary(("<bos>", "a", "b", "</s>"), 0, 3)
-    server = ScorerServer(TableModel(vocab, {}, {"a": 0.5, "b": 0.25, "</s>": 0.25})).start()
+
+    class PositiveScorer:
+        # a row holding a positive value, which the server cannot send
+        vocabulary = make_tiny3().vocabulary
+
+        def next_logprobs(self, context, prefix):
+            return {1: 0.5, 2: -1.0, 3: -1.0}
+
+    server = ScorerServer(PositiveScorer()).start()
     try:
         host, port = server.address
         rc = main(["decode", "--strategy", "beam", "--model", model,
@@ -662,7 +668,8 @@ def test_server_error_reply_exits_3(tiny3_files, capsys):
         server.shutdown()
         server.server_close()
     assert rc == 3
-    assert "server error: ValueError: unknown token '<s>'" in capsys.readouterr().err
+    assert "server error: ValueError: extension log-probabilities must be <= 0" in \
+        capsys.readouterr().err
     assert not os.path.exists(tmp / "o.jsonl")
 
 
@@ -670,7 +677,7 @@ def test_permuted_vocabulary_file_exits_3(tiny3_files, capsys):
     tmp, model, corpus = tiny3_files
     # the server lists the client's tokens in another order, so its
     # positional rows would be read against the wrong tokens
-    vocab = Vocabulary.from_tokens(["<s>", "b", "a", "</s>"])
+    vocab = Vocabulary(["<s>", "b", "a", "</s>"])
     server = ScorerServer(TableModel(vocab, {}, {"a": 0.5, "b": 0.25, "</s>": 0.25})).start()
     try:
         host, port = server.address
@@ -770,3 +777,28 @@ def test_endpoint_alone_writes_the_in_process_records(served, command):
         outputs.append(text)
     assert len(clients) == 1  # the remote run went over the wire
     assert outputs[0] == outputs[1]
+
+
+def test_bracketed_ipv6_endpoint_writes_the_in_process_records(tiny3_files):
+    tmp, model, corpus = tiny3_files
+
+    class IPv6Server(ScorerServer):
+        address_family = socket.AF_INET6
+
+    try:
+        server = IPv6Server(make_tiny3(), "::1").start()
+    except OSError:
+        pytest.skip("no IPv6 loopback")
+    try:
+        records = []
+        for remote in (["--endpoint", f"[::1]:{server.address[1]}"], []):
+            out = tmp / "out.jsonl"
+            assert main(["decode", "--strategy", "lbs", "--k", "2", "--d", "1", "--max-len", "3",
+                         "--model", model, *remote, "--input", corpus,
+                         "--output", str(out)]) == 0
+            records.append([{k: v for k, v in r.items() if k != "wall_time_ms"}
+                            for r in read_jsonl(out)])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert records[0] == records[1]

@@ -1,14 +1,10 @@
-import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-import seqdec
 from seqdec.core import (
     NEG_INF,
     VALID_MODES,
@@ -37,6 +33,7 @@ from conftest import (
     lookahead,
     one_hot_model,
     random_table_model,
+    run_in_child,
 )
 
 
@@ -47,18 +44,6 @@ def cfg(strategy, k=1, d=0, n_max=3, mode="raw", **kw):
 
 def strs(vocab, hyp):
     return vocab.to_strings(hyp.tokens)
-
-
-def run_in_child(code: str):
-    """The JSON that ``code`` prints, run by a fresh interpreter that
-    imports this seqdec; a run over 30 s fails the test."""
-    src = str(Path(seqdec.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=30)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
 
 
 class TestGreedy:
@@ -128,7 +113,7 @@ class TestExhaustive:
         assert math.exp(r.best.cum_logprob) == pytest.approx(0.35, abs=1e-12)
 
     def test_dominant_eos(self, inp):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.1, "</s>": 0.9})
         r = exhaustive_decode(model, inp, cfg("exhaustive"))
         assert strs(vocab, r.best) == ["<s>", "</s>"]
@@ -144,7 +129,7 @@ class TestExhaustive:
     def test_deeper_than_the_recursion_limit(self, inp):
         # the first dive follows "a" down to max_len before any complete
         # hypothesis bounds the search
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
         r = exhaustive_decode(model, inp, cfg("exhaustive", n_max=1500, budget=2**1500))
         assert strs(vocab, r.best) == ["<s>", "</s>"]
@@ -154,7 +139,7 @@ class TestExhaustive:
         # the first dive reaches 2,000 levels; a full Hypothesis per level
         # would hold about 2,000^2 / 2 tokens and step log-probabilities
         # (a 34 MB peak); the path held once traces under 1 MB
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
         tracemalloc.start()
         try:
@@ -335,7 +320,7 @@ class TestLHBS:
     def test_memory_follows_the_previous_beam_not_k(self, inp, mode):
         # at most 2^3 previous hypotheses per step; one child list per
         # slot of k = 10^5 traced a 6.4 MB peak, as wide as beam search's
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
         k = 10**5
         tracemalloc.start()
@@ -397,7 +382,7 @@ class TestModes:
     def test_a_settled_raw_beam_returns_what_every_step_would(self, inp):
         # every beam on this model is all complete within five steps; the
         # references run each step
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.1, "</s>": 0.9})
         for k in (1, 2, 4):
             lbs_calls = []
@@ -421,7 +406,7 @@ class TestModes:
             from seqdec.core import DecodeConfig, DecodeInput, Vocabulary
             from seqdec.decode import decode
             from seqdec.scorers import TableModel
-            vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+            vocab = Vocabulary(["<s>", "a", "</s>"])
             model = TableModel(vocab, {}, {"a": 0.1, "</s>": 0.9})
             print(json.dumps({s: decode(model, DecodeInput("x"), DecodeConfig(
                 beam_width=4, lookahead_depth=d, max_len=10**9, strategy=s, mode="raw"
@@ -430,6 +415,26 @@ class TestModes:
         # the paper's count: one logical call per beam slot per step
         assert run_in_child(code) == {
             "beam": 3_999_999_994, "lbs": 3_999_999_997, "lhbs": 3_999_999_994}
+
+    def test_lhbs_at_a_huge_k_costs_the_candidates_it_reads(self):
+        # a beam that cannot fill k slots: visiting each empty slot took
+        # about 20 min at k = 10^9; the decodes run in a child, so a visit
+        # per slot fails by the timeout
+        code = """if True:
+            import json
+            from seqdec.core import DecodeConfig, DecodeInput, Vocabulary
+            from seqdec.decode import decode
+            from seqdec.scorers import TableModel
+            vocab = Vocabulary(["<s>", "a", "b", "</s>"])
+            model = TableModel(vocab, {}, {"a": 0.3, "b": 0.3, "</s>": 0.4})
+            print(json.dumps({f"{mode}-{k}": repr(decode(model, DecodeInput("x"), DecodeConfig(
+                beam_width=k, max_len=6, strategy="lhbs", mode=mode)))
+                for mode in ("raw", "practical") for k in (1000, 10**9)}))
+        """
+        out = run_in_child(code)
+        for mode, calls in (("raw", 120), ("practical", 1)):
+            assert out[f"{mode}-1000000000"] == out[f"{mode}-1000"]
+            assert out[f"{mode}-1000"].endswith(f"scorer_calls={calls})")
 
     def test_a_wide_beam_over_one_tied_row_reads_the_run_lazily(self):
         # every child of every slot ties on a uniform 32,000-token row;
@@ -442,7 +447,7 @@ class TestModes:
             from seqdec.core import DecodeConfig, DecodeInput, Vocabulary
             from seqdec.decode import decode
             from seqdec.scorers import TableModel
-            vocab = Vocabulary.from_tokens(["<s>", *("w%d" % i for i in range(31998)), "</s>"])
+            vocab = Vocabulary(["<s>", *("w%d" % i for i in range(31998)), "</s>"])
             model = TableModel(vocab, {}, {t: 1 / 31999 for t in vocab.tokens[1:]})
             # ties go to the lower ids, so every slot extends w0 ... w0
             want = [(0,) + (1,) * 499 + (t,) for t in range(1, 65)]
@@ -465,7 +470,7 @@ class TestModes:
 def test_a_vocabulary_of_only_bos_and_eos_decodes_to_eos(inp, strategy, mode):
     # the first step's only candidate is complete: practical mode stops at
     # the empty beam, and a raw beam settles on it, charging every step
-    vocab = Vocabulary.from_tokens(["<s>", "</s>"])
+    vocab = Vocabulary(["<s>", "</s>"])
     model = TableModel(vocab, {}, {"</s>": 1.0})
     r = decode(model, inp, cfg(strategy, k=2, d=1, n_max=5, mode=mode))
     eos = Hypothesis((0, 1), 0.0, (0.0,), True)
@@ -493,7 +498,7 @@ class TestLookaheadBudget:
 
     def test_depth_beyond_the_recursion_limit_runs(self, inp):
         # the lookahead walks an explicit stack, so the budget alone bounds d
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
         d = sys.getrecursionlimit() + 100
         for mode in ("raw", "practical"):
@@ -505,7 +510,7 @@ class TestLookaheadBudget:
     def test_depth_beyond_the_recursion_limit_refused(self, inp):
         # past the recursion limit only the budget refuses a depth: one
         # node short of 2^d, and before any scorer call
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = CountingScorer(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}))
         d = sys.getrecursionlimit() + 100
         for mode in ("raw", "practical"):
@@ -517,7 +522,7 @@ class TestLookaheadBudget:
     def test_depth_just_under_the_recursion_limit_refused(self, inp):
         # called with few frames to spare, an over-budget depth is still
         # refused by the budget, not by a RecursionError
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = CountingScorer(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}))
         limit = sys.getrecursionlimit()
         d = limit - 5
@@ -536,7 +541,7 @@ class TestLookaheadBudget:
 
     def test_scorer_needing_many_frames_runs(self, inp):
         # the lookahead adds no frames per level below the scorer's own
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         table = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
 
         class Deep:
@@ -551,7 +556,7 @@ class TestLookaheadBudget:
         assert strs(vocab, r.best) == ["<s>", "</s>"]
 
     def test_depth_0_runs_deep_in_the_stack(self, inp):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
         limit = sys.getrecursionlimit()
 
@@ -568,7 +573,7 @@ class TestLookaheadBudget:
         assert strs(vocab, r.best) == ["<s>", "a", "a"]
 
     def test_eval_lookahead_beyond_the_recursion_limit_runs(self, inp):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = CountingScorer(TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1}))
         root = Hypothesis.initial(vocab)
         # the dive down "a" asks one row per level; stopping at once wins
@@ -579,7 +584,7 @@ class TestLookaheadBudget:
         # the dive reaches 2,000 levels; a prefix tuple per level would
         # hold about 2,000^2 / 2 token ids (a 16 MB peak); the path held
         # once and one iterator per level trace under 1 MB
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
         tracemalloc.start()
         try:
@@ -591,7 +596,7 @@ class TestLookaheadBudget:
         assert peak < 2_000_000
 
     def test_depth_within_the_recursion_limit_runs(self, inp):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
         r = lbs_decode(model, inp, cfg("lbs", k=1, d=400, n_max=2, budget=2**400))
         # the 400-level dive down "a" scores far below stopping at once

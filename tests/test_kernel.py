@@ -77,7 +77,7 @@ def test_eval_lookahead_bit_exact_against_reference():
 
 #: Fewer finite candidates than k: only a is possible at the first step,
 #: and b never is.
-FEW_FINITE = TableModel(Vocabulary.from_tokens(["<s>", "a", "b", "</s>"]),
+FEW_FINITE = TableModel(Vocabulary(["<s>", "a", "b", "</s>"]),
                         {"": {"a": 1.0}, "a": {"a": 0.5, "</s>": 0.5}},
                         {"a": 0.5, "</s>": 0.5})
 
@@ -119,7 +119,7 @@ class DyadicScorer:
     order is under test."""
 
     def __init__(self, seed):
-        self.vocabulary = Vocabulary.from_tokens(["<s>", "a", "b", "c", "</s>"])
+        self.vocabulary = Vocabulary(["<s>", "a", "b", "c", "</s>"])
         self.seed = seed
 
     def next_logprobs(self, context, prefix):
@@ -143,7 +143,7 @@ def test_scores_that_round_together_follow_token_order():
     # at -2**53 doubles are 2 apart, so the distinct log-probabilities of
     # a (log 0.4) and b (log 0.5) add up to one score: the row ranks b
     # first, the canonical order puts a first
-    vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+    vocab = Vocabulary(["<s>", "a", "b", "</s>"])
     model = TableModel(vocab, {}, {"a": 0.4, "b": 0.5, "</s>": 0.1})
     h = Hypothesis((vocab.bos_id,), -2.0**53, (), False)
     row = model.next_logprobs("", h.tokens)
@@ -173,7 +173,7 @@ def _traced_peak(decode):
 def test_a_growing_raw_beam_holds_its_nodes_not_their_ancestors():
     # a node that kept its parent would keep every ancestor's token tuple,
     # about 4,000^2 / 2 ids (a 62 MB peak); the beam's own nodes trace 0.2 MB
-    vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+    vocab = Vocabulary(["<s>", "a", "</s>"])
     model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
     r, peak = _traced_peak(lambda: beam_decode(model, INP, raw("beam", 1, n_max=4000)))
     assert r.best.tokens == (vocab.bos_id,) + (vocab.token_ids["a"],) * 4000
@@ -189,7 +189,7 @@ def test_a_step_pays_for_the_candidates_it_reads(fn, strategy, d):
     # k x |V| candidates traced 44 MB; the few a strategy reads off the
     # kept row ranking trace 5 kB
     words = [f"w{i}" for i in range(10**5 - 2)]
-    vocab = Vocabulary.from_tokens(["<s>", *words, "</s>"])
+    vocab = Vocabulary(["<s>", *words, "</s>"])
     weights = [1 / r**2 for r in range(1, 10**5)]
     total = sum(weights)
     model = TableModel(vocab, {}, {t: w / total for t, w in zip([*words, "</s>"], weights)})
@@ -242,7 +242,7 @@ class PositiveRow:
     (BOS included), its rows put log-probability 0.5 on EOS."""
 
     def __init__(self, from_length=1):
-        self.vocabulary = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+        self.vocabulary = Vocabulary(["<s>", "a", "b", "</s>"])
         self.from_length = from_length
 
     def next_logprobs(self, context, prefix):

@@ -11,7 +11,7 @@ from seqdec.oracle import (
 )
 from seqdec.scorers import TableModel
 
-from conftest import one_hot_model, random_table_model, uniform_model
+from conftest import one_hot_model, random_table_model, run_in_child, uniform_model
 
 
 class TestEnumerateAll:
@@ -69,7 +69,7 @@ class TestBruteForceMap:
         assert best.cum_logprob == sum_left_to_right(best.step_logprobs)
 
     def test_uniform_prefers_short(self, inp):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "b", "</s>"])
         model = uniform_model(vocab)
         best = brute_force_map(model, inp, 2)
         assert best.tokens == (0, vocab.eos_id)
@@ -115,3 +115,27 @@ class TestBreadthFirstLookahead:
         h = Hypothesis.initial(tiny3.vocabulary)
         with pytest.raises(BudgetExceededError):
             breadth_first_lookahead(tiny3, inp, h, 20)
+
+
+def test_a_two_token_vocabulary_stops_where_nothing_grows():
+    # only EOS extends, so the budget admits any depth: walking 10^12
+    # empty levels took about 21 hours; the oracles run in a child, so a
+    # walk per level fails by the timeout
+    code = """if True:
+        import json
+        from seqdec.core import DecodeInput, Hypothesis, Vocabulary
+        from seqdec.oracle import breadth_first_lookahead, brute_force_map, enumerate_all
+        from seqdec.scorers import TableModel
+        vocab = Vocabulary(["<s>", "</s>"])
+        model = TableModel(vocab, {}, {"</s>": 1.0})
+        h = Hypothesis.initial(vocab)
+        print(json.dumps({n: [repr(enumerate_all(model, DecodeInput("x"), n)),
+                              repr(brute_force_map(model, DecodeInput("x"), n)),
+                              breadth_first_lookahead(model, DecodeInput("x"), h, n)]
+                          for n in (1, 10**12)}))
+    """
+    out = run_in_child(code)
+    assert out["1000000000000"] == out["1"]
+    assert out["1"] == ["(((0, 1), 0.0),)",
+                        "Hypothesis(tokens=(0, 1), cum_logprob=0.0, step_logprobs=(0.0,), "
+                        "complete=True)", 0.0]

@@ -48,7 +48,7 @@ INP = DecodeInput("p")
 def vocabularies(draw):
     """One to three words, with BOS and EOS anywhere in the token order."""
     n_words = draw(st.integers(1, 3))
-    return Vocabulary.from_tokens(draw(st.permutations(["<s>"] + WORDS[:n_words] + ["</s>"])))
+    return Vocabulary(draw(st.permutations(["<s>"] + WORDS[:n_words] + ["</s>"])))
 
 
 def words_of(vocab: Vocabulary) -> list[str]:

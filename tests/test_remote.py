@@ -398,7 +398,7 @@ class TestStrictJson:
     """Every message the server writes is strict JSON: a zero-probability
     token is null, never -Infinity."""
 
-    VOCAB = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+    VOCAB = Vocabulary(["<s>", "a", "b", "</s>"])
 
     def test_zero_probability_is_null(self, serve):
         model = TableModel(self.VOCAB, {}, {"a": 0.75, "b": 0.0, "</s>": 0.25})
@@ -520,7 +520,7 @@ class TestBatchedWire:
                     or all(h.complete for h in local.final_beam))
 
     def test_rows_in_extension_id_order_with_null(self, serve):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "b", "</s>"])
         model = TableModel(vocab, {"a": {"a": 0.5, "b": 0.5, "</s>": 0.0}},
                            {"a": 0.75, "b": 0.0, "</s>": 0.25})
         line = b'{"id": 9, "context": "", "prefixes": [["<s>"], ["<s>", "a"]]}'
@@ -562,7 +562,7 @@ class TestVocabularyCheck:
                              ids=["permuted", "other-token"])
     def test_mismatched_vocabulary_is_a_transport_error(self, served_tiny3, inp, tokens):
         _, address = served_tiny3
-        client = RemoteScorer(Vocabulary.from_tokens(tokens), *address)
+        client = RemoteScorer(Vocabulary(tokens), *address)
         try:
             with pytest.raises(ScorerTransportError, match="extension tokens differ"):
                 client.next_logprobs("", (0,))
@@ -673,7 +673,7 @@ class TestReplyBytes:
     """A reply joins each row's text or number; its bytes equal the whole
     reply dumped at once."""
 
-    VOCAB = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+    VOCAB = Vocabulary(["<s>", "a", "b", "</s>"])
     # the "a" row holds null and 0.0
     TABLE = TableModel(VOCAB, {"a": {"</s>": 1.0}}, {"a": 0.75, "b": 0.0, "</s>": 0.25})
 
@@ -712,7 +712,7 @@ class TestRequestBytes:
     """Each request line the client writes is the request object as
     json.dumps writes it."""
 
-    VOCAB = Vocabulary.from_tokens(["<s>", "caf\u00e9", "\u65e5\u672c", "\U0001f600", 'a"b',
+    VOCAB = Vocabulary(["<s>", "caf\u00e9", "\u65e5\u672c", "\U0001f600", 'a"b',
                                     "c\\d", "</s>"])
     MODEL = TableModel(VOCAB, {}, {"caf\u00e9": 0.5, "a\"b": 0.25, "</s>": 0.25})
 

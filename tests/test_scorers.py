@@ -55,7 +55,7 @@ class TestTableModel:
         assert row_mass(row) == pytest.approx(1.0, abs=1e-9)
 
     def test_unnormalized_row_rejected(self):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         with pytest.raises(ValueError):
             TableModel(vocab, {"": {"a": 0.5, "</s>": 0.4}}, {"a": 0.5, "</s>": 0.5})
 
@@ -82,7 +82,7 @@ class TestTableModel:
 
 class TestUniformModel:
     def test_uniform_row(self):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "b", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "b", "</s>"])
         model = uniform_model(vocab)
         row = model.next_logprobs("", (0,))
         assert all(lp == pytest.approx(math.log(1 / 3)) for lp in vocab.extension_values(row))
@@ -210,7 +210,7 @@ class TestBatchCounting:
 class TestModelValidation:
     """A model that would serve a bad row is refused when it is built."""
 
-    VOCAB = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+    VOCAB = Vocabulary(["<s>", "a", "</s>"])
 
     @pytest.mark.parametrize("row", [
         {"a": math.nan, "</s>": 0.5},
@@ -298,7 +298,7 @@ class TestRowBoundaries:
     """Every place a row is made rejects a positive and a NaN value. Model
     construction is covered by ``TestModelValidation``."""
 
-    VOCAB = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+    VOCAB = Vocabulary(["<s>", "a", "</s>"])
 
     @pytest.mark.parametrize("lps", [
         [1e-300, NEG_INF], [0.5, -1.0], [math.inf, NEG_INF],
@@ -309,7 +309,7 @@ class TestRowBoundaries:
             Row.of(self.VOCAB, lps)
 
     def test_row_spans_the_vocabulary_with_minus_inf_at_bos(self):
-        vocab = Vocabulary(("x", "</s>", "<s>", "y"), 2, 1)
+        vocab = Vocabulary(("x", "</s>", "<s>", "y"))
         row = Row.of(vocab, [-1.0, -2.0, -3.0])
         assert row == (-1.0, -2.0, NEG_INF, -3.0)
         assert dict(row) == {0: -1.0, 1: -2.0, 3: -3.0}
@@ -317,7 +317,8 @@ class TestRowBoundaries:
 
     @pytest.mark.parametrize("tokens,bos,eos", [(("<s>", "</s>"), 0, 1), (("</s>", "<s>"), 1, 0)])
     def test_two_token_vocabulary_reads_a_tuple(self, tokens, bos, eos):
-        vocab = Vocabulary(tokens, bos, eos)
+        vocab = Vocabulary(tokens)
+        assert (vocab.bos_id, vocab.eos_id) == (bos, eos)
         row = Row.of(vocab, [0.0])
         assert row[vocab.bos_id] == NEG_INF and vocab.extension_values(row) == (0.0,)
 
@@ -373,7 +374,7 @@ class TestLazyRows:
         # 2,000 words and 2,000 bigram histories: one row per history
         # would be 4e6 entries
         words = [f"w{i}" for i in range(2000)]
-        vocab = Vocabulary.from_tokens(["<s>"] + words + ["</s>"])
+        vocab = Vocabulary(["<s>"] + words + ["</s>"])
         counts = {w: {words[(i + 1) % len(words)]: 1} for i, w in enumerate(words)}
         rows_built = []
         log_row = NgramModel._log_row
@@ -390,7 +391,7 @@ class TestLazyRows:
         assert len(model._rows) == 1  # no entry for an unseen history
 
     def test_out_of_vocabulary_context_word_finds_its_count_history(self):
-        vocab = Vocabulary.from_tokens(["<s>", "a", "</s>"])
+        vocab = Vocabulary(["<s>", "a", "</s>"])
         model = NgramModel(vocab, 3, 0.5, {"zz a": {"</s>": 3}, "a zz": {"a": 1}})
         row = model.next_logprobs("zz", (0, 1))
         assert row[2] == math.log(3.5 / 4.0)
