@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import chain, islice
 from operator import is_, itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from seqdec.core import (
     NEG_INF,
@@ -55,19 +54,16 @@ def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Dec
 
 # A node is (-score, tokens, step_logprobs), a hypothesis as the search
 # carries it; tuple order is the canonical order, as tokens differ
-# within a step. A ranked entry is a complete node carried forward as
-# itself, or (-score, tokens, parent node, logprob), the parent's child
-# by tokens[-1].
+# within a step.
 _Node = tuple[float, tuple[int, ...], tuple[float, ...]]
-_Entry = tuple
 
 
 def _search(counted: CountingScorer, context: str, config: DecodeConfig,
-            pick: Callable[[list[_Node], Iterator[_Entry], int], Iterable[_Entry]]) -> DecodeResult:
+            pick: Callable[[list, int], list[_Node]]) -> DecodeResult:
     """The search loop beam, LBS and LHBS share, in both modes.
 
-    Each step ranks the whole beam's candidates in one ``_ranked`` call
-    (one batch), and ``pick(beam, entries, n)`` reads the ranked entries
+    Each step builds the beam's cursor heap in one ``_cursors`` call (one
+    batch), and ``pick(cursors, n)`` reads nodes off it with ``_popped``
     as far as it needs and returns the ones the strategy keeps, in its
     own order: the next beam in raw mode (n = k), which runs ``max_len``
     fixed steps or stops at a beam that steps to itself, charging the
@@ -78,15 +74,10 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
     """
     k = config.beam_width
     eos = counted.vocabulary.eos_id
-
-    def step(beam: list[_Node], n: int) -> list[_Node]:
-        return [e if len(e) == 3 else (e[0], e[1], e[2][2] + (e[3],))
-                for e in pick(beam, _ranked(counted, context, beam), n)]
-
     beam = [(-0.0, (counted.vocabulary.bos_id,), ())]
     if config.mode == "raw":
         for steps_left in range(config.max_len - 1, -1, -1):
-            prev, beam = beam, step(beam, k)
+            prev, beam = beam, pick(_cursors(counted, context, beam), k)
             # children outgrow prev: a beam that steps to itself is all complete
             if len(beam) == len(prev) and all(map(is_, beam, prev)):
                 counted.charge(len(beam) * steps_left)
@@ -95,7 +86,7 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
     else:
         finished = []
         for _ in range(config.max_len):
-            popped = step(beam, 2 * k)
+            popped = pick(_cursors(counted, context, beam), 2 * k)
             beam = [h for h in popped if h[1][-1] != eos][:k]
             finished = sorted(finished + [h for h in popped if h[1][-1] == eos])[:k]
             if not beam or finished and min(h[0] for h in beam) >= finished[0][0]:
@@ -108,27 +99,23 @@ def _search(counted: CountingScorer, context: str, config: DecodeConfig,
                         tuple(map(hypothesis, beam)), counted.calls)
 
 
-def _ranked(counted: CountingScorer, context: str,
-            beam: Sequence[_Node]) -> Iterator[_Entry]:
-    """Every candidate of one beam step, in canonical order, read lazily
-    off the parents' kept row rankings.
+def _cursors(counted: CountingScorer, context: str, beam: Sequence[_Node]) -> list:
+    """The cursor heap of one beam step: one cursor per beam slot, holding
+    the slot's next child from ``_children``, keyed by (-score, parent
+    tokens, token id), then the iterator, the parent node and its row. A
+    complete beam slot (raw mode only) is its own only child.
 
-    One heap holds each incomplete parent's next child, keyed by
-    (-score, parent tokens, token id), and each complete beam slot (raw
-    mode only) as itself. A pop costs O(log k) and puts the parent's
-    next child, from ``_children``, in its place, so a strategy that
-    reads r entries pays for those r, not for k x |V|. The key is the
-    canonical order: each parent's children come by score descending,
-    then id, and no beam member's tokens are a proper prefix of
-    another's, because a complete raw slot ends in EOS and every other
-    slot has the same length, so two parents first differ at a position
-    that both of their candidates keep.
+    The key is the canonical order of the children: each parent's come by
+    score descending, then id, and no beam member's tokens are a proper
+    prefix of another's, because a complete raw slot ends in EOS and
+    every other slot has the same length, so two parents first differ at
+    a position that both of their children keep.
 
-    The incomplete parents' rows come from one batch call, made before
-    this returns, so a remote scorer answers the step in one round trip.
-    A complete beam slot costs one logical call, but the model is not
-    asked: its row would be discarded. Rows are read as they are,
-    unchecked: every ``Row`` was validated where it was made.
+    The incomplete slots' rows come from one batch call, so a remote
+    scorer answers the step in one round trip. A complete slot costs one
+    logical call, but the model is not asked: its row would be discarded.
+    Rows are read as they are, unchecked: every ``Row`` was validated
+    where it was made.
     """
     eos = counted.vocabulary.eos_id
     beam = sorted(beam, key=itemgetter(1))
@@ -146,28 +133,34 @@ def _ranked(counted: CountingScorer, context: str,
         score, tid = next(children)  # EOS is always an extension
         heap.append((-score, tokens, tid, children, h, row))
     heapify(heap)
+    return heap
 
-    def entries() -> Iterator[_Entry]:
-        while heap:
-            neg, tokens, tid, children, h, row = heap[0]
-            if children is None:
-                heappop(heap)
-                yield h
-                continue
-            yield neg, tokens + (tid,), h, row[tid]
-            child = next(children, None)
-            if child is None:
-                heappop(heap)
-            else:
-                heapreplace(heap, (-child[0], tokens, child[1], children, h, row))
 
-    return entries()
+def _popped(heap: list) -> Iterator[_Node]:
+    """Nodes popped off a live cursor heap, in canonical order. A pop
+    costs O(log k) and moves the cursor on before its child is yielded,
+    so a caller that reads r nodes pays for those r, not for k x |V|,
+    and may push more cursors between reads."""
+    while heap:
+        neg, tokens, tid, children, parent, row = heap[0]
+        child = None if children is None else next(children, None)
+        if child is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (-child[0], tokens, child[1], children, parent, row))
+        yield parent if children is None else (neg, tokens + (tid,), parent[2] + (row[tid],))
+
+
+def _take(n: int, nodes: Iterator[_Node]) -> list[_Node]:
+    """The first n nodes, or all there are; unlike ``islice``'s stop, n
+    may pass ``sys.maxsize``."""
+    return [node for _, node in zip(range(n), nodes)]
 
 
 def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
     """Top-k beam search."""
     return _search(CountingScorer(scorer), inp.context, config,
-                   lambda beam, entries, n: islice(entries, n))
+                   lambda cursors, n: _take(n, _popped(cursors)))
 
 
 def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], cum: float,
@@ -252,23 +245,23 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     d = config.lookahead_depth
     check_budget(len(counted.vocabulary.extension_ids), d, config.budget)
 
-    def pick(beam, entries, n):
-        """The n entries maximizing current score + lookahead bonus, by
-        total descending with canonical tie-break. Entries come by
-        current score descending, so the scan stops at the first whose
-        current score already falls below the running n-th best total."""
-        best: list[tuple[float, _Entry]] = []  # the n best (total, entry) so far
+    def pick(cursors, n):
+        """The n nodes maximizing current score + lookahead bonus, by
+        total descending with canonical tie-break. Nodes come by current
+        score descending, so the scan stops at the first whose current
+        score already falls below the running n-th best total."""
+        best: list[tuple[float, _Node]] = []  # the n best (total, node) so far
         bar = NEG_INF  # the n-th best total so far
-        for entry in entries:
-            if -entry[0] < bar:
+        for node in _popped(cursors):
+            if -node[0] < bar:
                 break
-            f = _lookahead(counted, inp.context, entry[1], -entry[0], d, bar)
+            f = _lookahead(counted, inp.context, node[1], -node[0], d, bar)
             if f > bar or len(best) < n:
                 # after equal totals, so they keep the canonical order of the scan
-                insort(best, (f, entry), key=lambda fe: -fe[0])
+                insort(best, (f, node), key=lambda fe: -fe[0])
                 del best[n:]
                 bar = best[-1][0] if len(best) == n else NEG_INF
-        return [e for _, e in best]
+        return [node for _, node in best]
 
     return _search(counted, inp.context, config, pick)
 
@@ -279,37 +272,22 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
     Beam slots are processed sequentially in descending previous-step
     score. Slot i pops from the leftover pool of slot i-1 plus the
     children of the i-th previous hypothesis, so previous-step rank
-    influences which candidates survive. Raw mode pops one candidate per
-    slot; practical mode pops two (the kernel's n over k). When the
-    previous beam holds fewer hypotheses than there are slots, the extra
-    slots pop the leftover pool, then the unread entries, so they cost
-    the candidates read, not k. The slots read the step's one ranking
-    once, in canonical order, and stop when they are full: an entry read
-    before its parent's slot waits for it, and the pool is read on only
-    while it is empty, as no unread entry ranks above it.
+    influences which candidates survive: it pushes that hypothesis's
+    cursor onto the step's heap, which holds the leftover pool, and pops.
+    Raw mode pops one candidate per slot; practical mode pops two (the
+    kernel's n over k). When the previous beam holds fewer hypotheses
+    than there are slots, the extra slots pop on from the same heap, so
+    they cost the candidates read, not k.
     """
     counted = CountingScorer(scorer)
+    k = config.beam_width
 
-    def pick(beam, entries, n):
-        slot = {id(h): i for i, h in enumerate(sorted(beam))}  # hashing h reads its tuples
-        waiting: list[list[_Entry]] = [[] for _ in beam]  # read before their slot
-        pool: list[_Entry] = []  # a heap; (-score, tokens) is unique within a step
-        popped: list[_Entry] = []
-        per = n // config.beam_width
-        for i in range(len(beam)):
-            for e in waiting[i]:
-                heappush(pool, e)
-            for _ in range(per):
-                if pool:
-                    popped.append(heappop(pool))
-                    continue
-                for e in entries:
-                    j = slot[id(e if len(e) == 3 else e[2])]  # a carried node is its own parent
-                    if j <= i:
-                        popped.append(e)
-                        break
-                    waiting[j].append(e)
-        popped += islice(chain(sorted(pool), entries), (config.beam_width - len(beam)) * per)
+    def pick(cursors, n):
+        heap, popped, per = [], [], n // k
+        for cursor in sorted(cursors, key=itemgetter(4)):  # by parent: previous rank order
+            heappush(heap, cursor)
+            popped += _take(per, _popped(heap))
+        popped += _take((k - len(cursors)) * per, _popped(heap))
         return popped if config.mode == "raw" else sorted(popped)
 
     return _search(counted, inp.context, config, pick)

@@ -168,7 +168,7 @@ def lhbs_reference_decode(scorer, context: str, k: int, n_max: int, mode: str):
     the children of the i-th previous hypothesis (one pop in raw mode,
     two in practical mode); a complete raw slot is its own sole child and
     is charged without asking the scorer. Structurally independent of the
-    ranked-entry kernel in ``seqdec.decode``.
+    cursor-heap kernel in ``seqdec.decode``.
 
     Returns (DecodeResult, steps), one step per beam step run:
     ``{"prev": canonically sorted previous beam, "slots": [{"slot": i,

@@ -436,6 +436,30 @@ class TestModes:
             assert out[f"{mode}-1000000000"] == out[f"{mode}-1000"]
             assert out[f"{mode}-1000"].endswith(f"scorer_calls={calls})")
 
+    def test_a_k_past_sys_maxsize_decodes_as_a_k_no_beam_fills(self):
+        # islice refuses a stop past sys.maxsize, and practical beam search
+        # reads 2k; the decodes run in a child, so a visit per slot fails
+        # by the timeout
+        code = """if True:
+            import json
+            from seqdec.core import DecodeConfig, DecodeInput, Vocabulary
+            from seqdec.decode import decode
+            from seqdec.scorers import TableModel
+            vocab = Vocabulary(["<s>", "a", "</s>"])
+            model = TableModel(vocab, {}, {"a": 0.1, "</s>": 0.9})
+            print(json.dumps({f"{s}-{mode}-{k}": repr(decode(model, DecodeInput("x"), DecodeConfig(
+                beam_width=k, lookahead_depth=1, max_len=6, strategy=s, mode=mode)))
+                for s in ("beam", "lbs", "lhbs") for mode in ("raw", "practical")
+                for k in (10**9, 10**19)}))
+        """
+        out = run_in_child(code)
+        # LBS's lookahead adds a call per active slot
+        calls = {"beam-raw": 21, "beam-practical": 1, "lbs-raw": 27, "lbs-practical": 2,
+                 "lhbs-raw": 21, "lhbs-practical": 1}
+        for run, n in calls.items():
+            assert out[f"{run}-{10**19}"] == out[f"{run}-{10**9}"]
+            assert out[f"{run}-{10**9}"].endswith(f"scorer_calls={n})")
+
     def test_a_wide_beam_over_one_tied_row_reads_the_run_lazily(self):
         # every child of every slot ties on a uniform 32,000-token row;
         # sorting each slot's whole run before its first child took about

@@ -12,7 +12,8 @@ import pytest
 
 from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, Hypothesis, Vocabulary, extend
 from seqdec.decode import (
-    _ranked,
+    _cursors,
+    _popped,
     beam_decode,
     exhaustive_decode,
     lbs_decode,
@@ -155,10 +156,10 @@ def test_scores_that_round_together_follow_token_order():
                 == reference_eval_lookahead(want, "", h, d).hex())
         assert got.inner.asked == want.inner.asked, d
         assert got.calls == want.calls
-    entries = list(_ranked(CountingScorer(model), "", [(-h.cum_logprob, h.tokens, ())]))
+    nodes = list(_popped(_cursors(CountingScorer(model), "", [(-h.cum_logprob, h.tokens, ())])))
     full = sorted((-(h.cum_logprob + row[tid]), h.tokens + (tid,)) for tid in vocab.extension_ids)
-    assert [(neg, tokens) for neg, tokens, _, _ in entries] == full
-    assert [tokens[-1] for _, tokens, _, _ in entries] == [a, b, vocab.eos_id]
+    assert [(neg, tokens) for neg, tokens, _ in nodes] == full
+    assert [tokens[-1] for _, tokens, _ in nodes] == [a, b, vocab.eos_id]
 
 
 def _traced_peak(decode):

@@ -21,7 +21,8 @@ from seqdec.core import (  # noqa: E402
     extend,
 )
 from seqdec.decode import (  # noqa: E402
-    _ranked,
+    _cursors,
+    _popped,
     beam_decode,
     exhaustive_decode,
     lbs_decode,
@@ -132,15 +133,8 @@ def reference_ranked(counted: CountingScorer, context: str, beam) -> list:
     return entries
 
 
-def _plain(entries):
-    """(score bits, tokens, parent's id, logprob) per entry; a carried
-    node is its own parent, with no logprob."""
-    return [(e[0].hex(), e[1], id(e[2]), e[3]) if len(e) == 4 else (e[0].hex(), e[1], id(e), None)
-            for e in entries]
-
-
 def _node(entry):
-    """The node an entry becomes when the search keeps it."""
+    """The node a reference entry stands for; a carried node is itself."""
     return entry if len(entry) == 3 else (entry[0], entry[1], entry[2][2] + (entry[3],))
 
 
@@ -189,10 +183,11 @@ def test_ranked_equals_the_full_canonical_sort(model, k, mode, data):
     for _ in range(4):
         shuffled = data.draw(st.permutations(beam))
         counted, ref_counted = CountingScorer(model), CountingScorer(model)
-        entries = list(_ranked(counted, "", shuffled))
-        assert _plain(entries) == _plain(reference_ranked(ref_counted, "", beam))
+        nodes = list(_popped(_cursors(counted, "", shuffled)))
+        want = map(_node, reference_ranked(ref_counted, "", beam))
+        assert [(n[0].hex(), *n[1:]) for n in nodes] == [(n[0].hex(), *n[1:]) for n in want]
         assert counted.calls == ref_counted.calls == len(beam)
-        beam = [_node(e) for e in entries[:k]]
+        beam = nodes[:k]
         if mode == "practical":
             beam = [h for h in beam if h[1][-1] != eos]
         if not beam:
