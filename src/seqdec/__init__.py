@@ -10,14 +10,7 @@ from seqdec.core import (
     Vocabulary,
     extend,
 )
-from seqdec.decode import (
-    beam_decode,
-    decode,
-    exhaustive_decode,
-    greedy_decode,
-    lbs_decode,
-    lhbs_decode,
-)
+from seqdec.decode import decode
 from seqdec.scorers import CountingScorer, NgramModel, TableModel
 
 __all__ = [
@@ -27,11 +20,6 @@ __all__ = [
     "DecodeConfig",
     "DecodeResult",
     "extend",
-    "greedy_decode",
-    "beam_decode",
-    "exhaustive_decode",
-    "lbs_decode",
-    "lhbs_decode",
     "decode",
     "TableModel",
     "NgramModel",

@@ -69,7 +69,7 @@ def _read_corpus(path: str) -> list[DecodeInput]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
                 raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{lineno}: record is not a JSON object")

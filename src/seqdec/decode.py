@@ -38,13 +38,12 @@ from seqdec.core import (
 from seqdec.scorers import CountingScorer, Scorer
 
 
-def greedy_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
+def _greedy(counted: CountingScorer, context: str, config: DecodeConfig) -> DecodeResult:
     """Pick the single most probable token at every step."""
-    counted = CountingScorer(scorer)
     vocab = counted.vocabulary
     h = Hypothesis.initial(vocab)
     for _ in range(config.max_len):
-        row = counted.next_logprobs(inp.context, h.tokens)
+        row = counted.next_logprobs(context, h.tokens)
         best_tid = row.ranked()[0]
         h = extend(h, best_tid, row[best_tid], vocab.eos_id)
         if h.complete:
@@ -157,10 +156,9 @@ def _take(n: int, nodes: Iterator[_Node]) -> list[_Node]:
     return [node for _, node in zip(range(n), nodes)]
 
 
-def beam_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
+def _beam(counted: CountingScorer, context: str, config: DecodeConfig) -> DecodeResult:
     """Top-k beam search."""
-    return _search(CountingScorer(scorer), inp.context, config,
-                   lambda cursors, n: _take(n, _popped(cursors)))
+    return _search(counted, context, config, lambda cursors, n: _take(n, _popped(cursors)))
 
 
 def _lookahead(counted: CountingScorer, context: str, tokens: tuple[int, ...], cum: float,
@@ -232,7 +230,7 @@ def _children(cum: float, row: Row) -> Iterator[tuple[float, int]]:
         i = j
 
 
-def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
+def _lbs(counted: CountingScorer, context: str, config: DecodeConfig) -> DecodeResult:
     """Lookahead beam search: rank candidates by current score plus the
     best score achievable within ``lookahead_depth`` future steps. The
     lookahead only steers per-step selection; returned hypotheses are
@@ -241,7 +239,6 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
     Refuses when the extension-token count raised to the lookahead depth
     exceeds the budget.
     """
-    counted = CountingScorer(scorer)
     d = config.lookahead_depth
     check_budget(len(counted.vocabulary.extension_ids), d, config.budget)
 
@@ -255,7 +252,7 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
         for node in _popped(cursors):
             if -node[0] < bar:
                 break
-            f = _lookahead(counted, inp.context, node[1], -node[0], d, bar)
+            f = _lookahead(counted, context, node[1], -node[0], d, bar)
             if f > bar or len(best) < n:
                 # after equal totals, so they keep the canonical order of the scan
                 insort(best, (f, node), key=lambda fe: -fe[0])
@@ -263,10 +260,10 @@ def lbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decode
                 bar = best[-1][0] if len(best) == n else NEG_INF
         return [node for _, node in best]
 
-    return _search(counted, inp.context, config, pick)
+    return _search(counted, context, config, pick)
 
 
-def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
+def _lhbs(counted: CountingScorer, context: str, config: DecodeConfig) -> DecodeResult:
     """Lookbehind heuristic beam search.
 
     Beam slots are processed sequentially in descending previous-step
@@ -279,7 +276,6 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
     than there are slots, the extra slots pop on from the same heap, so
     they cost the candidates read, not k.
     """
-    counted = CountingScorer(scorer)
     k = config.beam_width
 
     def pick(cursors, n):
@@ -290,10 +286,10 @@ def lhbs_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> Decod
         popped += _take((k - len(cursors)) * per, _popped(heap))
         return popped if config.mode == "raw" else sorted(popped)
 
-    return _search(counted, inp.context, config, pick)
+    return _search(counted, context, config, pick)
 
 
-def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
+def _exhaustive(counted: CountingScorer, context: str, config: DecodeConfig) -> DecodeResult:
     """Exact MAP search by depth-first enumeration with score pruning.
 
     Children are visited in token-id order from an explicit stack, so
@@ -304,13 +300,12 @@ def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) ->
     for desk-scale instances only: refuses when the extension-token
     count raised to max_len exceeds the budget.
     """
-    counted = CountingScorer(scorer)
     vocab = counted.vocabulary
     check_budget(len(vocab.extension_ids), config.max_len, config.budget)
     tokens, steps, cums = [vocab.bos_id], [], [0.0]
 
     def children() -> Iterator[tuple[int, float]]:
-        row = counted.next_logprobs(inp.context, tuple(tokens))
+        row = counted.next_logprobs(context, tuple(tokens))
         return zip(vocab.extension_ids, vocab.extension_values(row))
 
     best: Optional[Hypothesis] = None
@@ -334,15 +329,10 @@ def exhaustive_decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) ->
     return DecodeResult(best, (best,), (best,), counted.calls)
 
 
-_STRATEGIES = {
-    "greedy": greedy_decode,
-    "beam": beam_decode,
-    "lbs": lbs_decode,
-    "lhbs": lhbs_decode,
-    "exhaustive": exhaustive_decode,
-}
+_STRATEGIES = {"greedy": _greedy, "beam": _beam, "lbs": _lbs, "lhbs": _lhbs,
+               "exhaustive": _exhaustive}
 
 
 def decode(scorer: Scorer, inp: DecodeInput, config: DecodeConfig) -> DecodeResult:
-    """Dispatch to the strategy named in the config."""
-    return _STRATEGIES[config.strategy](scorer, inp, config)
+    """Decode ``inp`` by the strategy ``config.strategy`` names, counting its own calls."""
+    return _STRATEGIES[config.strategy](CountingScorer(scorer), inp.context, config)

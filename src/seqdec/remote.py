@@ -22,12 +22,12 @@ Rows are numbered per connection. The server sends a row's values the
 first time it sends that row object on the connection, and after that
 its number: 0, 1, 2, ... in the order rows were first sent. It keys rows
 by identity, not value (tuple equality reads -0.0 as 0.0), and numbers a
-reply's new rows once the reply is built, so an error reply numbers
-nothing. Each end numbers rows only while they hold at most
-``MAX_NUMBERED_VALUES`` values (rows x extension tokens); past that,
-rows go as lists. The client checks each list once (one JSON number or
-null per extension token, mass 1 within 1e-6, none positive) into a
-``Row``, and reads a number back as the same ``Row``.
+reply's new rows only once the scorer has answered the whole request, so
+an error reply numbers nothing. Each end numbers rows only while they
+hold at most ``MAX_NUMBERED_VALUES`` values (rows x extension tokens);
+past that, rows go as lists. The client checks each list once (one JSON
+number or null per extension token, mass 1 within 1e-6, none positive)
+into a ``Row``, and reads a number back as the same ``Row``.
 
 A request the server cannot answer gets {"id": uint or null, "error":
 str}, and the connection stays open; a request line longer than
@@ -158,7 +158,7 @@ class RemoteScorer:
             raise ScorerTransportError("peer closed the connection")
         try:
             response = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deeply
             raise ScorerTransportError(f"malformed response: {exc}") from exc
         if not isinstance(response, dict):
             raise ScorerTransportError("malformed response: not a JSON object")
@@ -250,8 +250,9 @@ _read_request = json.JSONDecoder(parse_constant=_reject_constant,
                                  parse_float=_finite_float).decode
 
 
-def _error_reply(req_id, message: str) -> bytes:
-    return json.dumps({"id": req_id, "error": message}, allow_nan=False).encode("utf-8") + b"\n"
+def _error_reply(id_text: str, message: str) -> bytes:
+    """The bytes json.dumps({"id": ..., "error": message}) writes, given the id's JSON text."""
+    return ('{"id": %s, "error": %s}\n' % (id_text, json.dumps(message))).encode()
 
 
 def _respond(counted: CountingScorer, numbers: dict[int, tuple[str, Row]],
@@ -259,12 +260,15 @@ def _respond(counted: CountingScorer, numbers: dict[int, tuple[str, Row]],
     """The encoded response to one request line: its rows, or an error
     naming what was wrong with the request. ``numbers`` maps ``id(row)``
     to the number, as text, and the row (held, so the id is not reused)
-    of each row numbered on the connection; a reply numbers its new rows
-    once built."""
-    req_id = None
+    of each row numbered on the connection. Nothing after the scorer has
+    answered can raise, so rows are numbered only then, and an error
+    reply numbers nothing."""
+    id_text = "null"
     try:
         request = _read_request(line.decode(json.detect_encoding(line), "surrogatepass"))
         req_id = request.get("id")
+        # inside the try, as an id may nest too deeply to write; the parser refused NaN
+        id_text = str(req_id) if type(req_id) is int else json.dumps(req_id)
         context = request.get("context", "")
         vocabulary = counted.vocabulary
         if "extension_tokens" in request:
@@ -275,27 +279,24 @@ def _respond(counted: CountingScorer, numbers: dict[int, tuple[str, Row]],
             raise TypeError("prefixes must be a list of prefixes")
         if len(items) > MAX_REQUEST_PREFIXES:
             raise ValueError(f"more than {MAX_REQUEST_PREFIXES} prefixes in one request")
-        prefixes = [_prefix(vocabulary.token_ids, p) for p in items]
-        n_ext, new, texts = len(vocabulary.extension_ids), {}, []
-        for row in counted.next_logprobs_batch(context, prefixes):
-            known = numbers.get(id(row)) or new.get(id(row))
-            if known is not None:
-                texts.append(known[0])
-                continue
-            values = vocabulary.extension_values(row)
-            texts.append(json.dumps([None if lp == NEG_INF else lp for lp in values],
-                                    allow_nan=False))
-            if (len(numbers) + len(new) + 1) * n_ext <= MAX_NUMBERED_VALUES:  # as the client
-                new[id(row)] = (str(len(numbers) + len(new)), row)
-        # the bytes json.dumps({"id": req_id, "rows": ...}) writes; the
-        # request parser has refused NaN and Infinity
-        response = '{"id": %s, "rows": [%s]}\n' % (
-            str(req_id) if type(req_id) is int else json.dumps(req_id), ", ".join(texts))
-    # RecursionError: a line nested too deeply to parse
+        rows = counted.next_logprobs_batch(
+            context, [_prefix(vocabulary.token_ids, p) for p in items])
+    # RecursionError: a line nested too deeply to parse, or an id to write
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
-        return _error_reply(req_id, f"{type(exc).__name__}: {exc}")
-    numbers.update(new)
-    return response.encode()
+        return _error_reply(id_text, f"{type(exc).__name__}: {exc}")
+    n_ext, texts = len(vocabulary.extension_ids), []
+    for row in rows:
+        known = numbers.get(id(row))
+        if known is not None:
+            texts.append(known[0])
+            continue
+        values = vocabulary.extension_values(row)
+        texts.append(json.dumps([None if lp == NEG_INF else lp for lp in values],
+                                allow_nan=False))
+        if (len(numbers) + 1) * n_ext <= MAX_NUMBERED_VALUES:  # as the client
+            numbers[id(row)] = (str(len(numbers)), row)
+    # the bytes json.dumps({"id": req_id, "rows": ...}) writes
+    return ('{"id": %s, "rows": [%s]}\n' % (id_text, ", ".join(texts))).encode()
 
 
 class _ScorerRequestHandler(socketserver.StreamRequestHandler):
@@ -306,7 +307,7 @@ class _ScorerRequestHandler(socketserver.StreamRequestHandler):
         while line := self.rfile.readline(MAX_REQUEST_BYTES + 1):
             if len(line) > MAX_REQUEST_BYTES:
                 send(_error_reply(
-                    None, f"ValueError: request line longer than {MAX_REQUEST_BYTES} bytes"))
+                    "null", f"ValueError: request line longer than {MAX_REQUEST_BYTES} bytes"))
                 return  # the connection closes
             if line.strip():
                 send(_respond(counted, numbers, line))

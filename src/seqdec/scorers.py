@@ -296,7 +296,10 @@ class CountingScorer:
 
 def _load_object(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
+        try:
+            obj = json.load(f)
+        except RecursionError:
+            raise ValueError("the file is nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise ValueError("the file does not hold a JSON object")
     return obj

@@ -18,7 +18,7 @@ from seqdec.core import (
     Vocabulary,
     extend,
 )
-from seqdec.decode import _lookahead, lhbs_decode
+from seqdec.decode import _lookahead, decode
 from seqdec.oracle import breadth_first_lookahead, sum_left_to_right
 from seqdec.scorers import CountingScorer, TableModel
 
@@ -227,14 +227,14 @@ def lhbs_reference_decode(scorer, context: str, k: int, n_max: int, mode: str):
 
 def assert_lhbs_steps_match_reference(scorer, inp: DecodeInput, k: int, n_max: int,
                                       mode: str) -> list:
-    """Assert that ``lhbs_decode`` at every ``max_len`` from 1 to ``n_max``
+    """Assert that the LHBS decode at every ``max_len`` from 1 to ``n_max``
     returns the reference's result on every field, and return the
     reference's step records at ``n_max``. A beam after t steps does not
     depend on ``max_len``, so this pins the decoder to the reference one
     step at a time, and the records are the decoder's steps."""
     for t in range(1, n_max + 1):
-        got = lhbs_decode(scorer, inp, DecodeConfig(beam_width=k, max_len=t,
-                                                    strategy="lhbs", mode=mode))
+        got = decode(scorer, inp, DecodeConfig(beam_width=k, max_len=t,
+                                               strategy="lhbs", mode=mode))
         want, steps = lhbs_reference_decode(scorer, inp.context, k, t, mode)
         assert got == want, f"k {k} mode {mode} max_len {t}"
     return steps

@@ -11,13 +11,7 @@ import time
 import pytest
 
 from seqdec.core import DecodeConfig, DecodeInput, Hypothesis, extend
-from seqdec.decode import (
-    beam_decode,
-    exhaustive_decode,
-    greedy_decode,
-    lbs_decode,
-    lhbs_decode,
-)
+from seqdec.decode import decode
 from seqdec.metrics import (
     perplexity,
     step_uid_error,
@@ -59,10 +53,10 @@ def test_criterion_1_proposition_1_equivalences():
         nv, n_max = case_params(seed)
         model = random_table_model(seed, nv, n_max)
         for k in (1, 2, 4):
-            beam = beam_decode(model, INP, raw_cfg("beam", k, n_max=n_max))
-            lbs0 = lbs_decode(model, INP, raw_cfg("lbs", k, d=0, n_max=n_max))
+            beam = decode(model, INP, raw_cfg("beam", k, n_max=n_max))
+            lbs0 = decode(model, INP, raw_cfg("lbs", k, d=0, n_max=n_max))
             assert lbs0.best.tokens == beam.best.tokens, f"seed {seed} k {k}"
-        deep = lbs_decode(model, INP, raw_cfg("lbs", 1, d=n_max, n_max=n_max))
+        deep = decode(model, INP, raw_cfg("lbs", 1, d=n_max, n_max=n_max))
         oracle = brute_force_map(model, INP, n_max)
         assert abs(deep.best.cum_logprob - oracle.cum_logprob) <= 1e-12, f"seed {seed}"
     elapsed = time.perf_counter() - start
@@ -118,11 +112,11 @@ def test_criterion_4_call_parity_and_lookahead_call_bounds():
         nv, n_max = case_params(seed)
         k = (1, 2, 4)[seed % 3]
         model = random_table_model(seed, nv, n_max)
-        beam = beam_decode(model, INP, raw_cfg("beam", k, n_max=n_max))
-        lhbs = lhbs_decode(model, INP, raw_cfg("lhbs", k, n_max=n_max))
+        beam = decode(model, INP, raw_cfg("beam", k, n_max=n_max))
+        lhbs = decode(model, INP, raw_cfg("lhbs", k, n_max=n_max))
         assert lhbs.scorer_calls == beam.scorer_calls, f"seed {seed}"
         d = seed % 3
-        lbs = lbs_decode(model, INP, raw_cfg("lbs", k, d=d, n_max=n_max))
+        lbs = decode(model, INP, raw_cfg("lbs", k, d=d, n_max=n_max))
         n_ext = len(model.vocabulary.extension_ids)
         # lookahead work <= k*|ext|^d per step, plus the k per-slot expansions
         assert lbs.scorer_calls <= n_max * k * (n_ext ** d + 1), f"seed {seed}"
@@ -138,7 +132,7 @@ def test_criterion_5_pruned_exhaustive_soundness():
         nv = 3 + seed % 3
         n_max = 3 + (seed // 5) % 3
         model = random_table_model(seed, nv, n_max, allow_zero=(seed % 4 == 0))
-        pruned = exhaustive_decode(model, INP, DecodeConfig(
+        pruned = decode(model, INP, DecodeConfig(
             beam_width=1, max_len=n_max, strategy="exhaustive"))
         enum = enumerate_all(model, INP, n_max)
         tokens, score = min(enum, key=lambda ts: (-ts[1], ts[0]))
@@ -152,20 +146,16 @@ def test_criterion_5_pruned_exhaustive_soundness():
 def test_criterion_6_metric_identities():
     start = time.perf_counter()
     checked = 0
-    decoders = {
-        "greedy": greedy_decode, "beam": beam_decode,
-        "lbs": lbs_decode, "lhbs": lhbs_decode,
-    }
     for seed in range(40):
         nv, n_max = case_params(seed)
         model = random_table_model(seed, nv, n_max)
-        for strategy, fn in decoders.items():
+        for strategy in ("greedy", "beam", "lbs", "lhbs"):
             for mode in ("raw", "practical"):
                 if strategy == "greedy" and mode == "raw":
                     continue
                 cfg = DecodeConfig(beam_width=2, lookahead_depth=1, max_len=n_max,
                                    strategy=strategy, mode=mode)
-                r = fn(model, INP, cfg)
+                r = decode(model, INP, cfg)
                 nll = -r.best.cum_logprob
                 assert nll == sum_left_to_right(-lp for lp in r.best.step_logprobs)
                 assert perplexity(r.best) == math.exp(nll / r.best.length)
@@ -201,8 +191,7 @@ def test_criterion_7_directional_depth_trend():
         for d in (0, 1, 2):
             strategy = "beam" if d == 0 else "lbs"
             cfg = raw_cfg(strategy, k, d=d, n_max=n_max)
-            results = [lbs_decode(model, inp, cfg) if d else beam_decode(model, inp, cfg)
-                       for inp in inputs]
+            results = [decode(model, inp, cfg) for inp in inputs]
             nlls[d] = [-r.best.cum_logprob for r in results]
             uids[d] = [step_uid_error(r.best) for r in results]
         for lo, hi in ((0, 1), (1, 2)):
@@ -237,13 +226,13 @@ def test_criterion_8_fixture_golden_values():
     assert done.cum_logprob == pytest.approx(-1.0498, abs=tol)
 
     # greedy
-    g = greedy_decode(tiny3, inp, raw_cfg("greedy", 1, n_max=3))
+    g = decode(tiny3, inp, raw_cfg("greedy", 1, n_max=3))
     assert g.best.tokens == (0, 1, 3)
     assert g.best.cum_logprob == pytest.approx(-1.0498, abs=tol)
 
     # beam practical k=2: best + step-2 surviving beam
-    b = beam_decode(tiny3, inp, DecodeConfig(beam_width=2, max_len=3,
-                                             strategy="beam", mode="practical"))
+    b = decode(tiny3, inp, DecodeConfig(beam_width=2, max_len=3,
+                                        strategy="beam", mode="practical"))
     assert b.best.tokens == (0, 1, 3)
     assert b.best.cum_logprob == pytest.approx(math.log(0.35), abs=tol)
     survivors = sorted(h.cum_logprob for h in b.final_beam)
@@ -251,13 +240,13 @@ def test_criterion_8_fixture_golden_values():
     assert survivors[0] == pytest.approx(math.log(0.10), abs=tol)
 
     # beam k=1 coincides with greedy
-    b1 = beam_decode(tiny3, inp, DecodeConfig(beam_width=1, max_len=3,
-                                              strategy="beam", mode="practical"))
+    b1 = decode(tiny3, inp, DecodeConfig(beam_width=1, max_len=3,
+                                         strategy="beam", mode="practical"))
     assert b1.best.tokens == (0, 1, 3)
 
     # exhaustive / oracle enumeration
-    e = exhaustive_decode(tiny3, inp, DecodeConfig(beam_width=1, max_len=3,
-                                                   strategy="exhaustive"))
+    e = decode(tiny3, inp, DecodeConfig(beam_width=1, max_len=3,
+                                        strategy="exhaustive"))
     assert math.exp(e.best.cum_logprob) == pytest.approx(0.35, abs=tol)
     enum = enumerate_all(tiny3, inp, 2)
     masses = {t: math.exp(s) for t, s in enum}
@@ -273,12 +262,12 @@ def test_criterion_8_fixture_golden_values():
     assert breadth_first_lookahead(tiny3, inp, hb, 1) == pytest.approx(math.log(0.7), abs=tol)
 
     # LBS d=1 k=1 selects token a at step 1
-    l = lbs_decode(tiny3, inp, raw_cfg("lbs", 1, d=1, n_max=3))
+    l = decode(tiny3, inp, raw_cfg("lbs", 1, d=1, n_max=3))
     assert l.best.tokens[1] == 1
 
     # LHBS practical k=2 steps, read off the reference the decoder equals
-    lh = lhbs_decode(tiny3, inp, DecodeConfig(beam_width=2, max_len=3,
-                                              strategy="lhbs", mode="practical"))
+    lh = decode(tiny3, inp, DecodeConfig(beam_width=2, max_len=3,
+                                         strategy="lhbs", mode="practical"))
     assert lh.best.tokens == (0, 1, 3)
     step2 = assert_lhbs_steps_match_reference(tiny3, inp, 2, 3, "practical")[1]
     assert [h.tokens for h in step2["slots"][0]["popped"]] == [(0, 1, 3), (0, 1, 2)]
@@ -309,13 +298,12 @@ def test_criterion_9_wire_protocol_conformance():
         try:
             corpus = [DecodeInput(f"s{i}", "") for i in range(3)]
             for inp in corpus:
-                for strategy, fn, d in (("beam", beam_decode, 0), ("lbs", lbs_decode, 1),
-                                        ("lbs", lbs_decode, 2), ("lhbs", lhbs_decode, 0)):
+                for strategy, d in (("beam", 0), ("lbs", 1), ("lbs", 2), ("lhbs", 0)):
                     for mode in ("raw", "practical"):
                         cfg = DecodeConfig(beam_width=2, lookahead_depth=d, max_len=3,
                                            strategy=strategy, mode=mode)
-                        local = fn(model, inp, cfg)
-                        remote = fn(client, inp, cfg)
+                        local = decode(model, inp, cfg)
+                        remote = decode(client, inp, cfg)
                         assert remote.best == local.best
                         assert remote.final_beam == local.final_beam
                         assert remote.finished == local.finished

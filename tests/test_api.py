@@ -1,13 +1,10 @@
-"""The README's "Public API" section against the package, and the
-search decoders' one signature."""
+"""The README's "Public API" section against the package."""
 
 import importlib
-import inspect
 import re
 from pathlib import Path
 
 import seqdec
-from seqdec.decode import beam_decode, lbs_decode, lhbs_decode
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -32,8 +29,3 @@ def test_every_listed_name_exists_in_its_module():
         assert names == sorted(names), module
         for name in names:
             assert hasattr(importlib.import_module(module), name), (module, name)
-
-
-def test_every_search_decoder_takes_scorer_input_and_config_only():
-    for fn in (lbs_decode, lhbs_decode):
-        assert inspect.signature(fn) == inspect.signature(beam_decode), fn.__name__

@@ -350,6 +350,24 @@ def test_model_file_of_the_wrong_shape_exits_2(tmp_path, capsys, remote, obj, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("remote,what", [([], "model"),
+                                         (["--endpoint", "127.0.0.1:1"], "vocabulary from")],
+                         ids=["model", "vocabulary"])
+def test_model_file_nested_too_deeply_exits_2(tmp_path, capsys, remote, what):
+    # the parser's RecursionError was a traceback (exit 1)
+    model = tmp_path / "model.json"
+    model.write_text("[" * 100_000 + "]" * 100_000)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "s1", "context": ""}\n')
+    out = tmp_path / "out.jsonl"
+    rc = main(["decode", "--strategy", "beam", "--model", str(model), *remote,
+               "--input", str(corpus), "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: cannot load {what} {model}: "
+                                       f"the file is nested too deeply to parse\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("obj,message", [
     ({"vocab": ["<s>", "a", "</s>"], "rows": {}, "default": {"a": 10**400, "</s>": 0}},
      "outside \\[0, 1\\]"),
@@ -381,8 +399,10 @@ def test_model_holding_a_huge_integer_exits_2(tmp_path, capsys, obj, message):
     (['{"id": 1}', '{"id": "1"}'], 2),  # both would be written as "1"
     (['{"id": "s1"}', '{"id": "s2",'], 2),
     (['{"context": "a"}'], 1),
+    # the parser's RecursionError was a traceback (exit 1)
+    (['{"id": "s1"}', "[" * 100_000 + "]" * 100_000], 2),
 ], ids=["scalar", "array", "id-array", "id-null", "id-bool", "context-number",
-        "context-null", "duplicate-written-id", "bad-json", "id-missing"])
+        "context-null", "duplicate-written-id", "bad-json", "id-missing", "nested-too-deeply"])
 def test_bad_corpus_record_exits_2_with_its_line(tmp_path, capsys, lines, lineno):
     model = tmp_path / "tiny3.json"
     write_model(make_tiny3(), model)

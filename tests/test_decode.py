@@ -16,14 +16,7 @@ from seqdec.core import (
     Vocabulary,
     extend,
 )
-from seqdec.decode import (
-    beam_decode,
-    decode,
-    exhaustive_decode,
-    greedy_decode,
-    lbs_decode,
-    lhbs_decode,
-)
+from seqdec.decode import decode
 from seqdec.oracle import breadth_first_lookahead, brute_force_map, enumerate_all
 from seqdec.scorers import CountingScorer, TableModel
 
@@ -48,20 +41,20 @@ def strs(vocab, hyp):
 
 class TestGreedy:
     def test_tiny3(self, tiny3, inp):
-        r = greedy_decode(tiny3, inp, cfg("greedy"))
+        r = decode(tiny3, inp, cfg("greedy"))
         assert strs(tiny3.vocabulary, r.best) == ["<s>", "a", "</s>"]
         assert r.best.cum_logprob == pytest.approx(math.log(0.35), abs=1e-12)
 
     def test_forced_path_hits_max_len(self, inp):
         model = one_hot_model("a")
-        r = greedy_decode(model, inp, cfg("greedy", n_max=3))
+        r = decode(model, inp, cfg("greedy", n_max=3))
         assert strs(model.vocabulary, r.best) == ["<s>", "a", "a", "a"]
         assert r.best.cum_logprob == 0.0
         assert not r.best.complete
 
     def test_immediate_eos(self, inp):
         model = one_hot_model("</s>")
-        r = greedy_decode(model, inp, cfg("greedy"))
+        r = decode(model, inp, cfg("greedy"))
         assert strs(model.vocabulary, r.best) == ["<s>", "</s>"]
         assert r.best.cum_logprob == 0.0
         assert r.scorer_calls == 1
@@ -69,7 +62,7 @@ class TestGreedy:
 
 class TestBeam:
     def test_tiny3_practical_k2(self, tiny3, inp):
-        r = beam_decode(tiny3, inp, cfg("beam", k=2, mode="practical"))
+        r = decode(tiny3, inp, cfg("beam", k=2, mode="practical"))
         vocab = tiny3.vocabulary
         assert strs(vocab, r.best) == ["<s>", "a", "</s>"]
         assert r.best.cum_logprob == pytest.approx(math.log(0.35), abs=1e-4)
@@ -81,26 +74,26 @@ class TestBeam:
         assert scores[1] == pytest.approx(math.log(0.10), abs=1e-4)
 
     def test_tiny3_k1_matches_greedy(self, tiny3, inp):
-        r = beam_decode(tiny3, inp, cfg("beam", k=1, mode="practical"))
+        r = decode(tiny3, inp, cfg("beam", k=1, mode="practical"))
         assert strs(tiny3.vocabulary, r.best) == ["<s>", "a", "</s>"]
 
     def test_wide_raw_beam_equals_exhaustive(self, inp):
         for seed in range(10):
             model = random_table_model(seed, 3, 4)
-            wide = beam_decode(model, inp, cfg("beam", k=27, n_max=4, mode="raw"))
-            exact = exhaustive_decode(model, inp, cfg("exhaustive", n_max=4))
+            wide = decode(model, inp, cfg("beam", k=27, n_max=4, mode="raw"))
+            exact = decode(model, inp, cfg("exhaustive", n_max=4))
             assert wide.best.tokens == exact.best.tokens
 
     def test_raw_runs_full_n_max(self, tiny3, inp):
-        r = beam_decode(tiny3, inp, cfg("beam", k=2, n_max=3, mode="raw"))
+        r = decode(tiny3, inp, cfg("beam", k=2, n_max=3, mode="raw"))
         # complete hypotheses are carried forward and win at the end
         assert r.best.complete
         assert r.best.cum_logprob == pytest.approx(math.log(0.35), abs=1e-12)
 
     def test_deterministic(self, inp):
         model = random_table_model(5, 4, 4)
-        a = beam_decode(model, inp, cfg("beam", k=3, n_max=4, mode="practical"))
-        b = beam_decode(model, inp, cfg("beam", k=3, n_max=4, mode="practical"))
+        a = decode(model, inp, cfg("beam", k=3, n_max=4, mode="practical"))
+        b = decode(model, inp, cfg("beam", k=3, n_max=4, mode="practical"))
         assert a.best == b.best
         assert a.final_beam == b.final_beam
         assert a.scorer_calls == b.scorer_calls
@@ -108,30 +101,30 @@ class TestBeam:
 
 class TestExhaustive:
     def test_tiny3(self, tiny3, inp):
-        r = exhaustive_decode(tiny3, inp, cfg("exhaustive"))
+        r = decode(tiny3, inp, cfg("exhaustive"))
         assert strs(tiny3.vocabulary, r.best) == ["<s>", "a", "</s>"]
         assert math.exp(r.best.cum_logprob) == pytest.approx(0.35, abs=1e-12)
 
     def test_dominant_eos(self, inp):
         vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.1, "</s>": 0.9})
-        r = exhaustive_decode(model, inp, cfg("exhaustive"))
+        r = decode(model, inp, cfg("exhaustive"))
         assert strs(vocab, r.best) == ["<s>", "</s>"]
 
     def test_n_max_1(self, tiny3, inp):
-        r = exhaustive_decode(tiny3, inp, cfg("exhaustive", n_max=1))
+        r = decode(tiny3, inp, cfg("exhaustive", n_max=1))
         assert strs(tiny3.vocabulary, r.best) == ["<s>", "</s>"]
 
     def test_budget_refusal(self, tiny3, inp):
         with pytest.raises(BudgetExceededError):
-            exhaustive_decode(tiny3, inp, cfg("exhaustive", n_max=20))
+            decode(tiny3, inp, cfg("exhaustive", n_max=20))
 
     def test_deeper_than_the_recursion_limit(self, inp):
         # the first dive follows "a" down to max_len before any complete
         # hypothesis bounds the search
         vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
-        r = exhaustive_decode(model, inp, cfg("exhaustive", n_max=1500, budget=2**1500))
+        r = decode(model, inp, cfg("exhaustive", n_max=1500, budget=2**1500))
         assert strs(vocab, r.best) == ["<s>", "</s>"]
         assert r.scorer_calls == 1500
 
@@ -143,7 +136,7 @@ class TestExhaustive:
         model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
         tracemalloc.start()
         try:
-            r = exhaustive_decode(model, inp, cfg("exhaustive", n_max=2000, budget=2**2000))
+            r = decode(model, inp, cfg("exhaustive", n_max=2000, budget=2**2000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,7 +146,7 @@ class TestExhaustive:
     def test_pruned_equals_enumeration(self, inp):
         for seed in range(30):
             model = random_table_model(seed, 4, 4, allow_zero=(seed % 2 == 0))
-            r = exhaustive_decode(model, inp, cfg("exhaustive", n_max=4))
+            r = decode(model, inp, cfg("exhaustive", n_max=4))
             bf = brute_force_map(model, inp, 4)
             assert r.best.tokens == bf.tokens
             assert r.best.cum_logprob == bf.cum_logprob
@@ -211,21 +204,21 @@ class TestLBS:
         for seed in range(20):
             model = random_table_model(seed, 4, 4)
             for k in (1, 2, 4):
-                b = beam_decode(model, inp, cfg("beam", k=k, n_max=4, mode="raw"))
-                l = lbs_decode(model, inp, cfg("lbs", k=k, d=0, n_max=4, mode="raw"))
+                b = decode(model, inp, cfg("beam", k=k, n_max=4, mode="raw"))
+                l = decode(model, inp, cfg("lbs", k=k, d=0, n_max=4, mode="raw"))
                 assert l.best.tokens == b.best.tokens
                 assert [h.tokens for h in l.final_beam] == [h.tokens for h in b.final_beam]
 
     def test_deep_lookahead_recovers_exhaustive(self, inp):
         for seed in range(20):
             model = random_table_model(seed, 4, 4)
-            l = lbs_decode(model, inp, cfg("lbs", k=1, d=4, n_max=4, mode="raw"))
+            l = decode(model, inp, cfg("lbs", k=1, d=4, n_max=4, mode="raw"))
             bf = brute_force_map(model, inp, 4)
             assert l.best.cum_logprob == pytest.approx(bf.cum_logprob, abs=1e-12)
 
     def test_tiny3_d1_k1_first_step(self, tiny3, inp):
         # step-1 totals: a -> ln 0.5 + ln 0.7, b -> ln 0.4 + ln 0.7, </s> -> ln 0.1
-        r = lbs_decode(tiny3, inp, cfg("lbs", k=1, d=1, n_max=3, mode="raw"))
+        r = decode(tiny3, inp, cfg("lbs", k=1, d=1, n_max=3, mode="raw"))
         assert r.best.tokens[1] == 1  # token a selected first
 
     def test_selection_matches_breadth_first_reference(self, inp):
@@ -233,14 +226,14 @@ class TestLBS:
             model = random_table_model(seed, 4, 4)
             for d in (1, 2):
                 for k in (1, 2):
-                    r = lbs_decode(model, inp, cfg("lbs", k=k, d=d, n_max=4, mode="raw"))
+                    r = decode(model, inp, cfg("lbs", k=k, d=d, n_max=4, mode="raw"))
                     ref_beam, _ = lbs_reference_decode(model, "", d, k, 4)
                     assert [h.tokens for h in r.final_beam] == [h.tokens for h in ref_beam]
 
     def test_never_more_calls_than_breadth_first(self, inp):
         for seed in range(15):
             model = random_table_model(seed, 4, 4)
-            r = lbs_decode(model, inp, cfg("lbs", k=2, d=2, n_max=4, mode="raw"))
+            r = decode(model, inp, cfg("lbs", k=2, d=2, n_max=4, mode="raw"))
             _, ref_calls = lbs_reference_decode(model, "", 2, 2, 4)
             assert r.scorer_calls <= ref_calls
 
@@ -249,7 +242,7 @@ class TestLBS:
         # cumulative log-probability among the surviving hypotheses
         for seed in range(10):
             model = random_table_model(seed, 4, 4)
-            r = lbs_decode(model, inp, cfg("lbs", k=3, d=1, n_max=4, mode="raw"))
+            r = decode(model, inp, cfg("lbs", k=3, d=1, n_max=4, mode="raw"))
             complete = [h for h in r.final_beam if h.complete]
             pool = complete if complete else list(r.final_beam)
             assert r.best.cum_logprob == max(h.cum_logprob for h in pool)
@@ -257,7 +250,7 @@ class TestLBS:
 
 class TestLHBS:
     def test_tiny3_practical_k2_trace(self, tiny3, inp):
-        r = lhbs_decode(tiny3, inp, cfg("lhbs", k=2, n_max=3, mode="practical"))
+        r = decode(tiny3, inp, cfg("lhbs", k=2, n_max=3, mode="practical"))
         vocab = tiny3.vocabulary
         assert strs(vocab, r.best) == ["<s>", "a", "</s>"]
         step2 = assert_lhbs_steps_match_reference(tiny3, inp, 2, 3, "practical")[1]
@@ -272,14 +265,14 @@ class TestLHBS:
     def test_k1_raw_matches_beam(self, inp):
         for seed in range(10):
             model = random_table_model(seed, 4, 4)
-            b = beam_decode(model, inp, cfg("beam", k=1, n_max=4, mode="raw"))
-            l = lhbs_decode(model, inp, cfg("lhbs", k=1, n_max=4, mode="raw"))
+            b = decode(model, inp, cfg("beam", k=1, n_max=4, mode="raw"))
+            l = decode(model, inp, cfg("lhbs", k=1, n_max=4, mode="raw"))
             assert l.best.tokens == b.best.tokens
             assert l.scorer_calls == b.scorer_calls
 
     def test_first_step_fills_beam_like_beam_search(self, tiny3, inp):
-        b = beam_decode(tiny3, inp, cfg("beam", k=2, n_max=1, mode="raw"))
-        l = lhbs_decode(tiny3, inp, cfg("lhbs", k=2, n_max=1, mode="raw"))
+        b = decode(tiny3, inp, cfg("beam", k=2, n_max=1, mode="raw"))
+        l = decode(tiny3, inp, cfg("lhbs", k=2, n_max=1, mode="raw"))
         assert sorted(h.tokens for h in l.final_beam) == sorted(h.tokens for h in b.final_beam)
 
     def test_proposition2_raw(self, inp):
@@ -306,14 +299,14 @@ class TestLHBS:
         for seed in range(30):
             model = random_table_model(seed, 4, 4)
             for k in (1, 2, 4):
-                b = beam_decode(model, inp, cfg("beam", k=k, n_max=4, mode="raw"))
-                l = lhbs_decode(model, inp, cfg("lhbs", k=k, n_max=4, mode="raw"))
+                b = decode(model, inp, cfg("beam", k=k, n_max=4, mode="raw"))
+                l = decode(model, inp, cfg("lhbs", k=k, n_max=4, mode="raw"))
                 assert l.scorer_calls == b.scorer_calls
 
     def test_deterministic(self, inp):
         model = random_table_model(9, 4, 4)
-        a = lhbs_decode(model, inp, cfg("lhbs", k=3, n_max=4, mode="practical"))
-        b = lhbs_decode(model, inp, cfg("lhbs", k=3, n_max=4, mode="practical"))
+        a = decode(model, inp, cfg("lhbs", k=3, n_max=4, mode="practical"))
+        b = decode(model, inp, cfg("lhbs", k=3, n_max=4, mode="practical"))
         assert a.best == b.best and a.final_beam == b.final_beam
 
     @pytest.mark.parametrize("mode", ["raw", "practical"])
@@ -325,12 +318,12 @@ class TestLHBS:
         k = 10**5
         tracemalloc.start()
         try:
-            r = lhbs_decode(model, inp, cfg("lhbs", k=k, n_max=4, mode=mode))
+            r = decode(model, inp, cfg("lhbs", k=k, n_max=4, mode=mode))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # k exceeds every candidate count, so both keep every candidate
-        b = beam_decode(model, inp, cfg("beam", k=k, n_max=4, mode=mode))
+        b = decode(model, inp, cfg("beam", k=k, n_max=4, mode=mode))
         assert set(r.final_beam) == set(b.final_beam) and r.best == b.best
         assert peak < 500_000
 
@@ -358,8 +351,8 @@ class TestModes:
         # early termination never returns a worse hypothesis than raw mode
         for seed in range(15):
             model = random_table_model(seed, 4, 5)
-            raw = beam_decode(model, inp, cfg("beam", k=2, n_max=5, mode="raw"))
-            prac = beam_decode(model, inp, cfg("beam", k=2, n_max=5, mode="practical"))
+            raw = decode(model, inp, cfg("beam", k=2, n_max=5, mode="raw"))
+            prac = decode(model, inp, cfg("beam", k=2, n_max=5, mode="practical"))
             if raw.best.complete and prac.best.complete:
                 assert prac.best.cum_logprob >= raw.best.cum_logprob - 1e-12
 
@@ -369,12 +362,7 @@ class TestModes:
             bf = brute_force_map(model, inp, 4)
             for strategy in ("greedy", "beam", "lbs", "lhbs"):
                 mode = "raw" if strategy != "greedy" else "practical"
-                r = {
-                    "greedy": greedy_decode,
-                    "beam": beam_decode,
-                    "lbs": lbs_decode,
-                    "lhbs": lhbs_decode,
-                }[strategy](model, inp, cfg(strategy, k=2, d=1, n_max=4, mode=mode))
+                r = decode(model, inp, cfg(strategy, k=2, d=1, n_max=4, mode=mode))
                 if r.best.complete:
                     assert bf.cum_logprob >= r.best.cum_logprob - 1e-12
 
@@ -387,10 +375,10 @@ class TestModes:
         for k in (1, 2, 4):
             lbs_calls = []
             for n_max in range(1, 13):
-                b = beam_decode(model, inp, cfg("beam", k=k, n_max=n_max))
+                b = decode(model, inp, cfg("beam", k=k, n_max=n_max))
                 assert (list(b.final_beam), b.scorer_calls) == lbs_reference_decode(
                     model, "", 0, k, n_max)
-                r = lbs_decode(model, inp, cfg("lbs", k=k, d=1, n_max=n_max))
+                r = decode(model, inp, cfg("lbs", k=k, d=1, n_max=n_max))
                 assert list(r.final_beam) == lbs_reference_decode(model, "", 1, k, n_max)[0]
                 lbs_calls.append(r.scorer_calls)
             # the reference also counts its breadth-first lookahead, so LBS's
@@ -509,16 +497,16 @@ class TestLookaheadBudget:
         model = random_table_model(0, 4, 4)  # 4 extension tokens: 4^6 = 4096 > 100
         for mode in ("raw", "practical"):
             with pytest.raises(BudgetExceededError):
-                lbs_decode(model, inp, cfg("lbs", k=2, d=6, mode=mode, budget=100))
+                decode(model, inp, cfg("lbs", k=2, d=6, mode=mode, budget=100))
 
     def test_lookahead_within_budget_runs(self, inp):
         model = random_table_model(0, 4, 4)  # 4^3 = 64 <= 100
-        r = lbs_decode(model, inp, cfg("lbs", k=2, d=3, budget=100))
+        r = decode(model, inp, cfg("lbs", k=2, d=3, budget=100))
         assert r.best.tokens[0] == model.vocabulary.bos_id
 
     def test_huge_depth_refused_without_recursing(self, tiny3, inp):
         with pytest.raises(BudgetExceededError):
-            lbs_decode(tiny3, inp, cfg("lbs", k=2, d=1200))
+            decode(tiny3, inp, cfg("lbs", k=2, d=1200))
 
     def test_depth_beyond_the_recursion_limit_runs(self, inp):
         # the lookahead walks an explicit stack, so the budget alone bounds d
@@ -526,7 +514,7 @@ class TestLookaheadBudget:
         model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
         d = sys.getrecursionlimit() + 100
         for mode in ("raw", "practical"):
-            r = lbs_decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, mode=mode, budget=2**d))
+            r = decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, mode=mode, budget=2**d))
             # the d-level dive down "a" scores far below stopping at once
             assert strs(vocab, r.best) == ["<s>", "</s>"]
             assert r.scorer_calls > d
@@ -539,8 +527,8 @@ class TestLookaheadBudget:
         d = sys.getrecursionlimit() + 100
         for mode in ("raw", "practical"):
             with pytest.raises(BudgetExceededError, match="exceeds node budget"):
-                lbs_decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, mode=mode,
-                                           budget=2**d - 1))
+                decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, mode=mode,
+                                       budget=2**d - 1))
         assert model.calls == 0
 
     def test_depth_just_under_the_recursion_limit_refused(self, inp):
@@ -554,7 +542,7 @@ class TestLookaheadBudget:
         def dive(n):
             if n:
                 return dive(n - 1)
-            return lbs_decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, budget=2**d - 1))
+            return decode(model, inp, cfg("lbs", k=1, d=d, n_max=2, budget=2**d - 1))
 
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -576,7 +564,7 @@ class TestLookaheadBudget:
                     return self.next_logprobs(context, prefix, depth - 1)
                 return table.next_logprobs(context, prefix)
 
-        r = lbs_decode(Deep(), inp, cfg("lbs", k=1, d=400, n_max=2, budget=2**400))
+        r = decode(Deep(), inp, cfg("lbs", k=1, d=400, n_max=2, budget=2**400))
         assert strs(vocab, r.best) == ["<s>", "</s>"]
 
     def test_depth_0_runs_deep_in_the_stack(self, inp):
@@ -587,7 +575,7 @@ class TestLookaheadBudget:
         def dive(n):
             if n:
                 return dive(n - 1)
-            return lbs_decode(model, inp, cfg("lbs", k=1, d=0, n_max=2))
+            return decode(model, inp, cfg("lbs", k=1, d=0, n_max=2))
 
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -622,7 +610,7 @@ class TestLookaheadBudget:
     def test_depth_within_the_recursion_limit_runs(self, inp):
         vocab = Vocabulary(["<s>", "a", "</s>"])
         model = TableModel(vocab, {}, {"a": 0.9, "</s>": 0.1})
-        r = lbs_decode(model, inp, cfg("lbs", k=1, d=400, n_max=2, budget=2**400))
+        r = decode(model, inp, cfg("lbs", k=1, d=400, n_max=2, budget=2**400))
         # the 400-level dive down "a" scores far below stopping at once
         assert strs(vocab, r.best) == ["<s>", "</s>"]
         assert r.scorer_calls > 400

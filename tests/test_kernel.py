@@ -11,14 +11,7 @@ import tracemalloc
 import pytest
 
 from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, Hypothesis, Vocabulary, extend
-from seqdec.decode import (
-    _cursors,
-    _popped,
-    beam_decode,
-    exhaustive_decode,
-    lbs_decode,
-    lhbs_decode,
-)
+from seqdec.decode import _cursors, _popped, decode
 from seqdec.scorers import CountingScorer, TableModel
 
 from conftest import (
@@ -88,16 +81,16 @@ def test_raw_beam_and_lbs_d0_match_reference():
         model = random_table_model(seed, 4, 4, allow_zero=(seed % 3 == 0))
         k = 1 + seed % 3
         ref_beam, _ = lbs_reference_decode(model, "", 0, k, 4)
-        assert beam_decode(model, INP, raw("beam", k)).final_beam == tuple(ref_beam), seed
-        assert lbs_decode(model, INP, raw("lbs", k)).final_beam == tuple(ref_beam), seed
+        assert decode(model, INP, raw("beam", k)).final_beam == tuple(ref_beam), seed
+        assert decode(model, INP, raw("lbs", k)).final_beam == tuple(ref_beam), seed
     # -inf candidates still fill the beam, in both modes
     for k in (2, 3, 4):
         ref_beam, _ = lbs_reference_decode(FEW_FINITE, "", 0, k, 3)
-        assert beam_decode(FEW_FINITE, INP, raw("beam", k, n_max=3)).final_beam == tuple(ref_beam)
+        assert decode(FEW_FINITE, INP, raw("beam", k, n_max=3)).final_beam == tuple(ref_beam)
         for mode in ("raw", "practical"):
-            beam = beam_decode(FEW_FINITE, INP, DecodeConfig(
+            beam = decode(FEW_FINITE, INP, DecodeConfig(
                 beam_width=k, max_len=3, strategy="beam", mode=mode))
-            lbs = lbs_decode(FEW_FINITE, INP, DecodeConfig(
+            lbs = decode(FEW_FINITE, INP, DecodeConfig(
                 beam_width=k, max_len=3, strategy="lbs", mode=mode))
             assert lbs == beam, (k, mode)
 
@@ -108,7 +101,7 @@ def test_raw_lbs_matches_reference():
         k = 1 + seed % 3
         for d in (1, 2):
             ref_beam, _ = lbs_reference_decode(model, "", d, k, 4)
-            got = lbs_decode(model, INP, raw("lbs", k, d))
+            got = decode(model, INP, raw("lbs", k, d))
             assert got.final_beam == tuple(ref_beam), (seed, d)
 
 
@@ -134,10 +127,10 @@ def test_exact_ties_follow_the_canonical_order():
         k = 2 + seed % 3
         for d in (0, 1, 2):
             ref_beam, _ = lbs_reference_decode(scorer, "", d, k, 5)
-            got = lbs_decode(scorer, INP, raw("lbs", k, d, n_max=5))
+            got = decode(scorer, INP, raw("lbs", k, d, n_max=5))
             assert got.final_beam == tuple(ref_beam), (seed, d)
-        assert beam_decode(scorer, INP, raw("beam", k, n_max=5)).final_beam == \
-            lbs_decode(scorer, INP, raw("lbs", k, n_max=5)).final_beam, seed
+        assert decode(scorer, INP, raw("beam", k, n_max=5)).final_beam == \
+            decode(scorer, INP, raw("lbs", k, n_max=5)).final_beam, seed
 
 
 def test_scores_that_round_together_follow_token_order():
@@ -176,15 +169,14 @@ def test_a_growing_raw_beam_holds_its_nodes_not_their_ancestors():
     # about 4,000^2 / 2 ids (a 62 MB peak); the beam's own nodes trace 0.2 MB
     vocab = Vocabulary(["<s>", "a", "</s>"])
     model = TableModel(vocab, {}, {"a": 0.5, "</s>": 0.5})
-    r, peak = _traced_peak(lambda: beam_decode(model, INP, raw("beam", 1, n_max=4000)))
+    r, peak = _traced_peak(lambda: decode(model, INP, raw("beam", 1, n_max=4000)))
     assert r.best.tokens == (vocab.bos_id,) + (vocab.token_ids["a"],) * 4000
     assert r.scorer_calls == 4000 and not r.finished
     assert peak < 2_000_000
 
 
-@pytest.mark.parametrize("fn,strategy,d", [(beam_decode, "beam", 0), (lbs_decode, "lbs", 1),
-                                           (lhbs_decode, "lhbs", 0)])
-def test_a_step_pays_for_the_candidates_it_reads(fn, strategy, d):
+@pytest.mark.parametrize("strategy,d", [("beam", 0), ("lbs", 1), ("lhbs", 0)])
+def test_a_step_pays_for_the_candidates_it_reads(strategy, d):
     # 10^5 tokens, the one ranked r (from 1) with probability falling as
     # 1 / r^2, EOS the least likely: a step that listed and sorted all
     # k x |V| candidates traced 44 MB; the few a strategy reads off the
@@ -195,7 +187,7 @@ def test_a_step_pays_for_the_candidates_it_reads(fn, strategy, d):
     total = sum(weights)
     model = TableModel(vocab, {}, {t: w / total for t, w in zip([*words, "</s>"], weights)})
     model.next_logprobs("", (vocab.bos_id,)).ranked()  # every prefix shares the default row
-    r, peak = _traced_peak(lambda: fn(model, INP, raw(strategy, 4, d, n_max=3)))
+    r, peak = _traced_peak(lambda: decode(model, INP, raw(strategy, 4, d, n_max=3)))
     assert r.best.tokens == (vocab.bos_id,) + (vocab.token_ids["w0"],) * 3
     assert peak < 1_000_000
 
@@ -224,16 +216,15 @@ LOGICAL_CALLS = {
     4: (13, 11, 12, 13),
     5: (13, 13, 14, 13),
 }
-RAW_RUNS = ((beam_decode, "beam", 3, 0), (lbs_decode, "lbs", 2, 1),
-            (lbs_decode, "lbs", 2, 2), (lhbs_decode, "lhbs", 3, 0))
+RAW_RUNS = (("beam", 3, 0), ("lbs", 2, 1), ("lbs", 2, 2), ("lhbs", 3, 0))
 
 
 def test_finished_raw_slots_count_without_asking_the_model():
     for seed, expected in LOGICAL_CALLS.items():
         model = random_table_model(seed, 4, 4, allow_zero=(seed % 2 == 1))
-        for (fn, strategy, k, d), calls in zip(RAW_RUNS, expected):
+        for (strategy, k, d), calls in zip(RAW_RUNS, expected):
             proxy = ModelCalls(model)
-            result = fn(proxy, INP, raw(strategy, k, d, n_max=5))
+            result = decode(proxy, INP, raw(strategy, k, d, n_max=5))
             assert result.scorer_calls == calls, (seed, strategy, d)
             assert proxy.calls < result.scorer_calls, (seed, strategy, d)
 
@@ -261,18 +252,18 @@ def test_positive_row_rejected_by_lookahead(d):
         reference_eval_lookahead(scorer, "", h, d)
 
 
-@pytest.mark.parametrize("fn,strategy,mode,d", [
-    (beam_decode, "beam", "raw", 0),
-    (beam_decode, "beam", "practical", 0),
-    (lbs_decode, "lbs", "raw", 0),
-    (lbs_decode, "lbs", "raw", 2),
-    (lbs_decode, "lbs", "practical", 1),
+@pytest.mark.parametrize("strategy,mode,d", [
+    ("beam", "raw", 0),
+    ("beam", "practical", 0),
+    ("lbs", "raw", 0),
+    ("lbs", "raw", 2),
+    ("lbs", "practical", 1),
 ])
-def test_positive_row_rejected_by_ranking(fn, strategy, mode, d):
+def test_positive_row_rejected_by_ranking(strategy, mode, d):
     config = DecodeConfig(beam_width=2, lookahead_depth=d, max_len=3,
                           strategy=strategy, mode=mode)
     with pytest.raises(ValueError, match="must be <= 0"):
-        fn(PositiveRow(), INP, config)
+        decode(PositiveRow(), INP, config)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -281,8 +272,8 @@ def test_positive_row_rejected_inside_lbs_lookahead(d):
     config = DecodeConfig(beam_width=2, lookahead_depth=d, max_len=1,
                           strategy="lbs", mode="raw")
     with pytest.raises(ValueError, match="must be <= 0"):
-        lbs_decode(PositiveRow(from_length=2), INP, config)
-    assert beam_decode(PositiveRow(from_length=2), INP, raw("beam", 2, n_max=1))
+        decode(PositiveRow(from_length=2), INP, config)
+    assert decode(PositiveRow(from_length=2), INP, raw("beam", 2, n_max=1))
 
 
 def _hyp(h):
@@ -306,7 +297,7 @@ def _steps(steps):
 #: step's slot records) and exhaustive outputs below, recorded before LHBS
 #: moved onto the ranked-entry kernel and exhaustive search onto an
 #: explicit stack. The slot records now come from the reference LHBS,
-#: which ``lhbs_decode`` equals at every ``max_len``.
+#: which the LHBS decode equals at every ``max_len``.
 PINNED_LHBS_EXHAUSTIVE = "4d11a7d772e755577ca83817cb1ce202e9a8bbe2e0fd50bafbc4192faf83e39c"
 
 
@@ -317,10 +308,10 @@ def test_lhbs_and_exhaustive_outputs_match_the_recorded_digest():
         for mode in ("raw", "practical"):
             for k in (1, 2, 3, 5):
                 steps = assert_lhbs_steps_match_reference(model, INP, k, 5, mode)
-                result = lhbs_decode(model, INP, DecodeConfig(
+                result = decode(model, INP, DecodeConfig(
                     beam_width=k, max_len=5, strategy="lhbs", mode=mode))
                 record = [seed, mode, k, _fields(result), _steps(steps)]
                 digest.update(json.dumps(record).encode())
-        result = exhaustive_decode(model, INP, DecodeConfig(max_len=5, strategy="exhaustive"))
+        result = decode(model, INP, DecodeConfig(max_len=5, strategy="exhaustive"))
         digest.update(json.dumps([seed, _fields(result)]).encode())
     assert digest.hexdigest() == PINNED_LHBS_EXHAUSTIVE

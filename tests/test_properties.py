@@ -4,6 +4,7 @@ cases."""
 
 import json
 import math
+from dataclasses import replace
 from operator import itemgetter
 
 import pytest
@@ -20,13 +21,7 @@ from seqdec.core import (  # noqa: E402
     Vocabulary,
     extend,
 )
-from seqdec.decode import (  # noqa: E402
-    _cursors,
-    _popped,
-    beam_decode,
-    exhaustive_decode,
-    lbs_decode,
-)
+from seqdec.decode import _cursors, _popped, decode  # noqa: E402
 from seqdec.oracle import enumerate_all  # noqa: E402
 from seqdec.remote import _respond, _row  # noqa: E402
 from seqdec.scorers import CountingScorer, NgramModel, TableModel  # noqa: E402
@@ -222,13 +217,14 @@ MODES = st.sampled_from(["raw", "practical"])
 @given(dyadic_table_models(), st.integers(1, 5), st.integers(1, 4), MODES)
 def test_proposition1_lbs_at_depth_0_is_beam_search(model, k, n_max, mode):
     config = DecodeConfig(beam_width=k, max_len=n_max, mode=mode)
-    assert lbs_decode(model, INP, config) == beam_decode(model, INP, config)
+    assert (decode(model, INP, replace(config, strategy="lbs"))
+            == decode(model, INP, replace(config, strategy="beam")))
 
 
 @PROPERTY
 @given(dyadic_table_models(), st.integers(1, 4))
 def test_pruned_exhaustive_search_is_the_enumeration_argmax(model, n_max):
-    best = exhaustive_decode(model, INP, DecodeConfig(max_len=n_max)).best
+    best = decode(model, INP, DecodeConfig(max_len=n_max, strategy="exhaustive")).best
     tokens, score = min(enumerate_all(model, INP, n_max), key=lambda ts: (-ts[1], ts[0]))
     assert (best.tokens, best.cum_logprob.hex()) == (tokens, score.hex())
 

@@ -10,7 +10,7 @@ import pytest
 
 from seqdec import remote
 from seqdec.core import NEG_INF, DecodeConfig, DecodeInput, ScorerTransportError, Vocabulary
-from seqdec.decode import beam_decode, decode
+from seqdec.decode import decode
 from seqdec.remote import (MAX_REQUEST_BYTES, MAX_REQUEST_PREFIXES, RemoteScorer, ScorerServer,
                            _respond)
 from seqdec.scorers import CountingScorer, TableModel
@@ -52,8 +52,8 @@ class TestRemoteScorer:
         client = RemoteScorer(model.vocabulary, host, port)
         try:
             cfg = DecodeConfig(beam_width=2, max_len=3, strategy="beam", mode="practical")
-            remote = beam_decode(client, inp, cfg)
-            local = beam_decode(model, inp, cfg)
+            remote = decode(client, inp, cfg)
+            local = decode(model, inp, cfg)
             assert remote.best == local.best
             assert remote.final_beam == local.final_beam
             assert remote.scorer_calls == local.scorer_calls
@@ -235,6 +235,21 @@ class TestProtocolValidation:
             client.next_logprobs("", (0,))
         client.close()
 
+    def test_reply_nested_too_deeply_is_transport_error(self):
+        # the parser's RecursionError left the connection open
+        def handle(conn):
+            with conn.makefile("rb") as f:
+                f.readline()
+            conn.sendall(b'{"id": 0, "rows": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n")
+
+        client = RemoteScorer(self.model.vocabulary, *_serve_once(handle))
+        with pytest.raises(ScorerTransportError):
+            # 4,000 prefixes, so the reply-line limit admits the line
+            client.next_logprobs_batch("", [(0,)] * 4000)
+        with pytest.raises(ScorerTransportError, match="the connection is closed"):
+            client.next_logprobs("", (0,))
+        client.close()
+
     def test_ids_echoed_in_order(self):
         seen = []
 
@@ -319,7 +334,7 @@ class TestServerErrorReplies:
          "ValueError: unknown token 5"),
         (b'{"id": 13, "context": "", "prefixes": [["<s>", "zz", ["a"]]]}', 13,
          "TypeError: unhashable type: 'list'"),
-        # the parser gave up with a RecursionError, and the connection closed unanswered
+        # the parser gives up with a RecursionError
         pytest.param(b"[" * 100000 + b"]" * 100000, None, "RecursionError", id="nested-json"),
     ])
     def test_error_reply_then_keeps_serving(self, served_tiny3, line, req_id, message):
@@ -338,6 +353,45 @@ class TestServerErrorReplies:
             assert client.next_logprobs("", (0,)) == model.next_logprobs("", (0,))
         finally:
             client.close()
+
+
+def test_an_id_at_every_depth_near_the_parser_limit_gets_one_reply(served_tiny3):
+    # an id nested just shallow enough to parse but too deep to write back
+    # killed the connection unanswered; the depth the parser refuses differs
+    # between Python versions, so it is found first, nesting a key the
+    # server ignores. Replies are read as bytes: the test's own parser runs
+    # deeper in the stack than the server's.
+    model, address = served_tiny3
+
+    def nested(depth):
+        return b"[" * depth + b"]" * depth
+
+    with socket.create_connection(address, timeout=10.0) as sock, sock.makefile("rwb") as f:
+        def ask(line):
+            f.write(line + b"\n")
+            f.flush()
+            return f.readline()
+
+        def parsed(depth):
+            reply = ask(b'{"id": 0, "x": %s, "prefixes": 5}' % nested(depth))
+            return reply.startswith(b'{"id": 0, "error": "TypeError')
+
+        accepted, refused = 1, 2
+        while parsed(refused):
+            assert refused < 2**20, "the parser accepts a million levels"
+            accepted, refused = refused, 2 * refused
+        while refused - accepted > 1:
+            mid = (accepted + refused) // 2
+            accepted, refused = (mid, refused) if parsed(mid) else (accepted, mid)
+        for depth in range(max(1, refused - 64), refused + 4):
+            reply = ask(b'{"id": %s, "context": "", "prefixes": 5}' % nested(depth))
+            echoed = (b'{"id": %s, "error": "TypeError: prefixes must be a list of prefixes"}\n'
+                      % nested(depth))
+            assert reply == echoed or reply.startswith(
+                b'{"id": null, "error": "RecursionError: '), depth
+        good = {"context": "", "prefixes": [["<s>"]]}
+        assert json.loads(ask(json.dumps({"id": 1, **good}).encode())) == {
+            "id": 1, "rows": _rows(model, good)}
 
 
 def test_overlong_request_line_gets_one_error_and_the_connection_closes(served_tiny3):
@@ -476,8 +530,8 @@ class TestBatchedWire:
         model = make_tiny3()
         client = RemoteScorer(model.vocabulary, *serve(model).address)
         try:
-            r = beam_decode(client, inp, DecodeConfig(beam_width=2, max_len=5,
-                                                      strategy="beam", mode="raw"))
+            r = decode(client, inp, DecodeConfig(beam_width=2, max_len=5,
+                                                 strategy="beam", mode="raw"))
             assert (client.round_trips, r.scorer_calls) == (3, 9)
         finally:
             client.close()
